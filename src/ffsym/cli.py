@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every subcommand takes --q "p^e" plus the shared flags --seed, --json/--csv,
---jobs, --degree-max, --samples and --epsilon.  JSON output is one document
+--degree-max, --samples and --epsilon.  JSON output is one document
 per invocation with the fixed envelope {command, field, inputs, result,
 evidence}, serialized with sorted keys so identical (argv, seed) runs are
 byte-identical.  Exit codes: 0 success/verified, 1 a verified identity
@@ -109,7 +109,7 @@ def cmd_hilbert(args):
 
 def cmd_reciprocity_sweep(args):
     field = _field(args)
-    res = reciprocity_sweep(field, args.degree_max, args.n, jobs=args.jobs)
+    res = reciprocity_sweep(field, args.degree_max, args.n)
     inputs = {"degree_max": args.degree_max, "n": args.n}
     result = {
         "pairs_total": res.pairs_total,
@@ -267,7 +267,7 @@ def cmd_ap_primes(args):
 def cmd_uniformity(args):
     field = _field(args)
     f = parse_poly(field, args.f)
-    report = uniformity_report(f, args.k, jobs=args.jobs)
+    report = uniformity_report(f, args.k)
     inputs = {"f": str(f), "k": args.k}
     result = {
         "pi_k": report.pi_k,
@@ -288,6 +288,10 @@ def cmd_uniformity(args):
 
 def cmd_selftest(args):
     only = [int(c) for c in args.criteria.split(",")] if args.criteria else None
+    unknown = sorted(set(only or ()) - set(range(1, len(selftest_mod.CRITERIA) + 1)))
+    if unknown:
+        raise UsageError(f"unknown criterion ids {unknown} "
+                         f"(known: 1-{len(selftest_mod.CRITERIA)})")
     results = selftest_mod.run_all(args.seed, only)
     ok = all(r.passed for r in results)
     inputs = {"seed": args.seed, "criteria": only or "all"}
@@ -320,13 +324,11 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub, *, jobs=False, samples=None, degree_max=None, epsilon=False):
+def _add_common(sub, *, samples=None, degree_max=None, epsilon=False):
     sub.add_argument("--q", default="3", help='field spec "p" or "p^e" (default 3)')
     sub.add_argument("--seed", type=int, default=42, help="seed for all randomized behavior")
     sub.add_argument("--json", action="store_true", help="emit a JSON document")
     sub.add_argument("--csv", action="store_true", help="emit CSV (table commands)")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1, help="deterministic work sharding")
     if samples is not None:
         sub.add_argument("--samples", type=int, default=samples, help="sample size")
     if degree_max is not None:
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("reciprocity-sweep", help="exhaustive reciprocity check")
     s.add_argument("--n", type=int, default=2)
-    _add_common(s, jobs=True, degree_max=3)
+    _add_common(s, degree_max=3)
 
     s = subs.add_parser("delta", help="ramified places of the quaternion algebra H_{a,b}")
     s.add_argument("--a", required=True)
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("uniformity", help="per-class prime counts vs the expected value")
     s.add_argument("--f", required=True, help="modulus polynomial")
     s.add_argument("--k", type=int, required=True, help="target degree")
-    _add_common(s, jobs=True)
+    _add_common(s)
 
     s = subs.add_parser("selftest", help="run the acceptance suite")
     s.add_argument("--criteria", default=None,
@@ -425,11 +427,23 @@ def _emit_csv(command: str, result: dict, out) -> None:
         writer.writerow([json.dumps(result[k], sort_keys=True) for k in sorted(result)])
 
 
+# lower bounds of the integer flags, checked before any handler runs
+_MINIMUM = {"degree_max": 0, "k": 1, "samples": 1}
+
+
+def _check_ranges(args) -> None:
+    for name, low in _MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        _check_ranges(args)
         inputs, result, evidence, ok, lines = handler(args)
     except (UsageError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,8 @@ from random import Random
 
 from .dirichlet import find_prime_in_ap
 from .gf import Field, FieldElem, smallest_nonsquare
-from .places import Place, RatFunc, random_ratfunc, residue, valuation
-from .polyring import Poly, powmod, random_irreducible
+from .places import Place, RatFunc, random_ratfunc, valuation
+from .polyring import Poly, factor, power_character, random_irreducible
 from .quaternion import RamificationSet, delta, r_tilde_member
 
 DEFAULT_WITNESS_DEGREE_SLACK = 6
@@ -40,12 +40,7 @@ def _check_epsilon(field: Field, epsilon: FieldElem | None) -> FieldElem:
 def phi_inf(c: RatFunc) -> bool:
     """True iff c is a square in the completion at infinity: the
     leading-coefficient ratio is a square and v_inf(c) is even."""
-    if c.is_zero:
-        raise ValueError("square class of zero is undefined")
-    _require_odd(c.field)
-    if valuation(c, Place.infinite(c.field)) % 2:
-        return False
-    return c.field.is_square_code(c.lead_ratio_code())
+    return inf_square_class(c) is InfSquareClass.SQUARE
 
 
 class InfSquareClass(enum.Enum):
@@ -119,13 +114,9 @@ class WitnessPair:
 def _nonsquare_residue(prime: Poly, rng: Random) -> Poly:
     field = prime.field
     d = len(prime.coeffs) - 1
-    exp = (field.q ** d - 1) // 2
-    neg_one = (field.neg_one_code,)
     while True:
         r = Poly(field, [rng.randrange(field.q) for _ in range(d)])
-        if r.is_zero:
-            continue
-        if powmod(r, exp, prime).coeffs == neg_one:
+        if power_character(r, prime) == field.neg_one_code:  # 0 when r is zero
             return r
 
 
@@ -267,12 +258,7 @@ def member_A_union_Ainf_theorem(
         agrees = all(ev.accepted for ev in evidence)
         return MembershipReport(True, agrees, tuple(evidence))
     # pick a denominator prime with negative valuation; one witness suffices
-    from .polyring import factor
-
-    bad_prime = None
-    for prime, _ in factor(x.den):
-        bad_prime = prime
-        break
+    bad_prime = factor(x.den).factors[0][0]
     wp = witness_pair(Place.finite(bad_prime, trusted=True), epsilon, rng)
     accepted = r_tilde_member(x, wp.a, wp.b)
     ev = PairEvidence(wp.a, wp.b, "witness", accepted)

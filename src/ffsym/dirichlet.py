@@ -9,13 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .gf import Field
-from .polyring import Poly, enumerate_monic, factor, format_poly, gcd, is_irreducible
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+from .polyring import Poly, enumerate_monic, enumerate_residues, factor, format_poly, gcd, is_irreducible
 
 
 def _mobius(n: int) -> int:
@@ -37,7 +31,7 @@ def pi_q(q: int, k: int) -> int:
     """Number of monic irreducibles of degree k: (1/k) sum mu(d) q^{k/d}."""
     if k < 1:
         raise ValueError("prime counting needs degree >= 1")
-    total = sum(_mobius(d) * q ** (k // d) for d in _divisors(k))
+    total = sum(_mobius(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0)
     assert total % k == 0
     return total // k
 
@@ -150,19 +144,11 @@ class UniformityReport:
 
 def unit_residues(f: Poly) -> list[Poly]:
     """All residues mod f coprime to f (degree < deg f)."""
-    field = f.field
-    deg_f = len(f.coeffs) - 1
-    out = []
-    import itertools
-
-    for tail in itertools.product(range(field.q), repeat=deg_f):
-        r = Poly(field, tail)
-        if gcd(r, f).degree == 0:
-            out.append(r)
-    return out
+    residues = enumerate_residues(f.field, len(f.coeffs) - 1)
+    return [r for r in residues if gcd(r, f).degree == 0]
 
 
-def uniformity_report(f: Poly, k: int, jobs: int = 1) -> UniformityReport:
+def uniformity_report(f: Poly, k: int) -> UniformityReport:
     """Counts over every unit residue class mod f at degree k, with the
     relative deviation from pi_q(k)/Phi_q(f).
 
@@ -174,21 +160,8 @@ def uniformity_report(f: Poly, k: int, jobs: int = 1) -> UniformityReport:
     pi_k = pi_q(field.q, k)
     phi_f = euler_phi(f)
     expected = pi_k / phi_f
-    residues = unit_residues(f)
-
-    def count_for(r: Poly) -> int:
-        return pi_ap(APQuery(f, r, k))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(count_for, residues))
-    else:
-        counts = [count_for(r) for r in residues]
-    rows = tuple(
-        UniformityRow(r, n, abs(n / expected - 1.0)) for r, n in zip(residues, counts)
-    )
+    counts = [(r, pi_ap(APQuery(f, r, k))) for r in unit_residues(f)]
+    rows = tuple(UniformityRow(r, n, abs(n / expected - 1.0)) for r, n in counts)
     max_dev = max((row.deviation for row in rows), default=0.0)
     in_range = len(f.coeffs) - 1 <= k - 4  # ||f|| <= q^{k-4}
     return UniformityReport(f, k, pi_k, phi_f, expected, rows, max_dev, in_range)

@@ -13,9 +13,8 @@ fields fall back to vector arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 _TABLE_LIMIT = 256
 
@@ -35,84 +34,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# --- minimal dense polynomial helpers over F_p (int-list coefficients) ---
-# Used only to pick the field modulus; the full polynomial ring lives in
-# ffsym.polyring and depends on this module, not the other way around.
-
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    prod = [c % p for c in prod]
-    return _pdivmod(prod, mod, p)[1]
-
-
-def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = list(a)
-    binv = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    quot = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = (a[-1] * binv) % p
-        quot[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] = (a[k + i] - c * bi) % p
-        _ptrim(a)
-    return quot, a
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    return a
-
-
-def _ppowmod(a: list[int], n: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pdivmod(a, mod, p)[1]
-    while n:
-        if n & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        n >>= 1
-    return result
-
-
-def _pirreducible(f: list[int], p: int) -> bool:
-    # Rabin's test: x^(p^m) == x mod f and gcd(x^(p^(m/l)) - x, f) = 1.
-    m = len(f) - 1
-    if m == 1:
-        return True
-    x = [0, 1]
-    for ell in {d for d in range(2, m + 1) if m % d == 0 and is_prime(d)}:
-        g = _ppowmod(x, p ** (m // ell), f, p)
-        g = [(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)]
-        if len(_pgcd(f, _ptrim(g), p)) > 1:
-            return False
-    g = _ppowmod(x, p ** m, f, p)
-    g = [(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)]
-    return not _ptrim(g)
-
-
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     # Lexicographically smallest monic irreducible of degree e over F_p,
     # ordering coefficient tuples (c0, ..., c_{e-1}) constant term first.
-    for tail in itertools.product(range(p), repeat=e):
-        f = list(tail) + [1]
-        if _pirreducible(f, p):
-            return tuple(f)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    # Candidates with c0 = 0 are divisible by t, so they are skipped untested.
+    # Imported here, not at the top, because polyring imports this module.
+    from .polyring import enumerate_monic, is_irreducible
+
+    return next(
+        f.coeffs for f in enumerate_monic(field_make(p), e) if f.coeffs[0] and is_irreducible(f)
+    )
 
 
 class Field:
@@ -132,7 +63,6 @@ class Field:
         self.q = p ** e
         self.modulus: tuple[int, ...] | None = None if e == 1 else _smallest_irreducible(p, e)
         self.is_prime_field = e == 1
-        self.zero_code = 0
         self.one_code = 1
         self.neg_one_code = p - 1  # constant -1, in any representation
         self._build_tables()
@@ -154,15 +84,7 @@ class Field:
             [self._encode([(x + y) % p for x, y in zip(va, vb)]) for vb in vecs] for va in vecs
         ]
         self._neg_table = [self._encode([(-x) % p for x in va]) for va in vecs]
-        mod = list(self.modulus)
-        self._mul_table = []
-        for va in vecs:
-            row = []
-            a = _ptrim(list(va))
-            for vb in vecs:
-                prod = _pmulmod(a, _ptrim(list(vb)), mod, p)
-                row.append(self._encode(prod + [0] * (e - len(prod))))
-            self._mul_table.append(row)
+        self._mul_table = [[self._mul_vec(va, vb) for vb in vecs] for va in vecs]
         self._inv_table = [0] * q
         for a in range(1, q):
             self._inv_table[a] = self.pow_(a, q - 2)
@@ -182,6 +104,22 @@ class Field:
         for c in reversed(list(vec)):
             code = code * self.p + c
         return code
+
+    def _mul_vec(self, va: Sequence[int], vb: Sequence[int]) -> int:
+        # code of the product of two coefficient vectors, reduced by the
+        # monic modulus: y^e = -(m_0 + m_1 y + ... + m_{e-1} y^{e-1})
+        p, e, mod = self.p, self.e, self.modulus
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(va):
+            if x:
+                for j, y in enumerate(vb):
+                    prod[i + j] += x * y
+        for k in range(2 * e - 2, e - 1, -1):
+            c = prod[k] % p
+            if c:
+                for i in range(e):
+                    prod[k - e + i] -= c * mod[i]
+        return self._encode([c % p for c in prod[:e]])
 
     # --- code-level arithmetic ---
 
@@ -209,9 +147,7 @@ class Field:
             return self._mul_table[a][b]
         if self.is_prime_field:
             return (a * b) % self.p
-        p = self.p
-        prod = _pmulmod(_ptrim(self._decode(a)), _ptrim(self._decode(b)), list(self.modulus), p)
-        return self._encode(prod + [0] * (self.e - len(prod)))
+        return self._mul_vec(self._decode(a), self._decode(b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -268,16 +204,13 @@ class Field:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            return FieldElem(self, value % self.p if self.e == 1 else self._lift_int(value))
+            # ints denote prime-subfield constants in extension fields
+            return FieldElem(self, value % self.p)
         vec = [int(v) % self.p for v in value]
         if len(vec) > self.e:
             raise ValueError("coefficient vector longer than extension degree")
         vec += [0] * (self.e - len(vec))
         return FieldElem(self, self._encode(vec))
-
-    def _lift_int(self, value: int) -> int:
-        # ints denote prime-subfield constants in extension fields
-        return value % self.p
 
     @property
     def zero(self) -> "FieldElem":
@@ -290,9 +223,6 @@ class Field:
     @property
     def neg_one(self) -> "FieldElem":
         return FieldElem(self, self.neg_one_code)
-
-    def elements(self) -> Iterator["FieldElem"]:
-        return (FieldElem(self, c) for c in range(self.q))
 
     def element_repr(self, code: int) -> str:
         if self.is_prime_field:

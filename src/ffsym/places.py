@@ -13,7 +13,7 @@ from random import Random
 from typing import Iterable, Union
 
 from .gf import Field, FieldElem
-from .polyring import Poly, factor, format_poly, gcd, invmod, is_irreducible, parse_poly, powmod, random_poly
+from .polyring import Poly, factor, format_poly, gcd, invmod, is_irreducible, parse_poly, power_character, random_poly
 
 
 class Place:
@@ -137,9 +137,6 @@ class RatFunc:
             raise ValueError("zero has no leading-coefficient ratio")
         return self.field.div(self.num.lead_code, self.den.lead_code)
 
-    def leading_ratio(self) -> FieldElem:
-        return FieldElem(self.field, self.lead_ratio_code())
-
     # --- arithmetic ---
 
     def _check(self, other: "RatFunc") -> None:
@@ -208,14 +205,15 @@ def parse_ratfunc(field: Field, text: str) -> RatFunc:
 # --- valuations and residues ---
 
 
-def _prime_multiplicity(f: Poly, prime: Poly) -> int:
-    count = 0
+def _strip_prime(f: Poly, prime: Poly) -> tuple[Poly, int]:
+    # (f / P^m, m) with P^m exactly dividing the nonzero f
+    mult = 0
     while True:
         q, r = divmod(f, prime)
         if not r.is_zero:
-            return count
-        count += 1
+            return f, mult
         f = q
+        mult += 1
 
 
 def valuation(x: RatFunc, place: Place) -> int:
@@ -225,7 +223,7 @@ def valuation(x: RatFunc, place: Place) -> int:
     if place.is_infinite:
         return len(x.den.coeffs) - len(x.num.coeffs)
     p = place.prime
-    return _prime_multiplicity(x.num, p) - _prime_multiplicity(x.den, p)
+    return _strip_prime(x.num, p)[1] - _strip_prime(x.den, p)[1]
 
 
 def val_at_least(x: RatFunc, place: Place, bound: int) -> bool:
@@ -255,16 +253,6 @@ def residue(x: RatFunc, place: Place) -> Poly:
     return (num_red * invmod(den_red, p)) % p
 
 
-def _strip_prime(f: Poly, prime: Poly) -> tuple[Poly, int]:
-    mult = 0
-    while True:
-        q, r = divmod(f, prime)
-        if not r.is_zero:
-            return f, mult
-        f = q
-        mult += 1
-
-
 def residue_inf(x: RatFunc) -> FieldElem:
     """red_inf: 0 when v_inf > 0, leading-coefficient ratio when v_inf = 0."""
     if x.is_zero:
@@ -274,7 +262,7 @@ def residue_inf(x: RatFunc) -> FieldElem:
         raise ValueError("negative valuation at infinity: residue undefined")
     if v > 0:
         return x.field.zero
-    return x.leading_ratio()
+    return FieldElem(x.field, x.lead_ratio_code())
 
 
 def unit_residue(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
@@ -295,15 +283,21 @@ def unit_residue(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
     return vn - vd, r
 
 
+def _finite_valuations(x: RatFunc) -> dict[Poly, int]:
+    # v_P(x) for every prime P of the numerator or the denominator
+    mults: dict[Poly, int] = {}
+    for f, sign in ((x.num, 1), (x.den, -1)):
+        if not f.is_constant:
+            for prime, mult in factor(f):
+                mults[prime] = mults.get(prime, 0) + sign * mult
+    return mults
+
+
 def support(x: RatFunc, *, include_infinite: bool = True) -> frozenset[Place]:
     """All places with nonzero valuation."""
     if x.is_zero:
         raise ValueError("support of zero is undefined")
-    places = set()
-    for f in (x.num, x.den):
-        if not f.is_constant:
-            for prime, _ in factor(f):
-                places.add(Place.finite(prime, trusted=True))
+    places = {Place.finite(pr, trusted=True) for pr, v in _finite_valuations(x).items() if v}
     if include_infinite and len(x.num.coeffs) != len(x.den.coeffs):
         places.add(Place.infinite(x.field))
     return frozenset(places)
@@ -313,15 +307,7 @@ def odd_support(x: RatFunc) -> frozenset[Place]:
     """Places where v_P(x) is odd, including infinity."""
     if x.is_zero:
         raise ValueError("odd support of zero is undefined")
-    places = set()
-    mults: dict[Poly, int] = {}
-    for f, sign in ((x.num, 1), (x.den, -1)):
-        if not f.is_constant:
-            for prime, mult in factor(f):
-                mults[prime] = mults.get(prime, 0) + sign * mult
-    for prime, mult in mults.items():
-        if mult % 2:
-            places.add(Place.finite(prime, trusted=True))
+    places = {Place.finite(pr, trusted=True) for pr, v in _finite_valuations(x).items() if v % 2}
     if (len(x.den.coeffs) - len(x.num.coeffs)) % 2:
         places.add(Place.infinite(x.field))
     return frozenset(places)
@@ -344,10 +330,7 @@ def is_square_local(x: RatFunc, place: Place) -> bool:
         return False
     if place.is_infinite:
         return field.is_square_code(r)
-    p = place.prime
-    d = len(p.coeffs) - 1
-    s = powmod(r, (field.q ** d - 1) // 2, p)
-    return s.coeffs == (field.one_code,)
+    return power_character(r, place.prime) == field.one_code
 
 
 def random_ratfunc(

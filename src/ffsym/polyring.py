@@ -61,13 +61,6 @@ class Poly:
         code = field.elem(value).code
         return cls(field, (code,) if code else (), trusted=True)
 
-    @classmethod
-    def from_elems(cls, elems: Sequence[FieldElem]) -> "Poly":
-        if not elems:
-            raise ValueError("need at least one element to infer the field")
-        field = elems[0].field
-        return cls(field, [e.code for e in elems])
-
     # --- basic queries ---
 
     @property
@@ -88,9 +81,6 @@ class Poly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def leading_coefficient(self) -> FieldElem:
-        return FieldElem(self.field, self.lead_code)
 
     @property
     def is_monic(self) -> bool:
@@ -165,14 +155,6 @@ class Poly:
         mul = fa.mul
         return Poly(fa, [mul(c, code) for c in self.coeffs], trusted=True)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k, k >= 0."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if self.is_zero or k == 0:
-            return self
-        return Poly(self.field, (0,) * k + self.coeffs, trusted=True)
-
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
@@ -227,14 +209,6 @@ class Poly:
             k = i % fa.p
             out.append(fa.mul(c, k) if k else 0)
         return Poly(fa, out)
-
-    def evaluate(self, value: Union[int, FieldElem]) -> FieldElem:
-        fa = self.field
-        x = fa.elem(value).code
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = fa.add(fa.mul(acc, x), c)
-        return FieldElem(fa, acc)
 
     # --- identity / presentation ---
 
@@ -302,6 +276,19 @@ def powmod(f: Poly, n: int, mod: Poly) -> Poly:
         base = (base * base) % mod
         n >>= 1
     return result
+
+
+def power_character(r: Poly, prime: Poly, n: int = 2) -> int:
+    """Euler's criterion: the code of r^((q^deg P - 1)/n) mod P, or 0 when
+    P divides r.  P must be a monic irreducible and n must divide q - 1, so
+    that the power lands in the constants."""
+    r = r % prime
+    if r.is_zero:
+        return 0
+    s = powmod(r, (r.field.q ** (len(prime.coeffs) - 1) - 1) // n, prime)
+    if len(s.coeffs) != 1:
+        raise AssertionError("residue symbol did not land in the constants")
+    return s.coeffs[0]
 
 
 # --- irreducibility and factorization ---
@@ -412,10 +399,6 @@ class Factorization:
         self.lead_code = lead_code
         self.factors = tuple(sorted(factors, key=lambda fm: fm[0].sort_key()))
 
-    @property
-    def lead(self) -> FieldElem:
-        return FieldElem(self.field, self.lead_code)
-
     def product(self) -> Poly:
         acc = Poly.constant(self.field, FieldElem(self.field, self.lead_code))
         for prime, mult in self.factors:
@@ -460,6 +443,17 @@ def enumerate_monic(field: Field, k: int) -> Iterator[Poly]:
         raise ValueError("degree must be >= 0")
     for tail in itertools.product(range(field.q), repeat=k):
         yield Poly(field, tail + (1,), trusted=True)
+
+
+def enumerate_residues(field: Field, k: int) -> Iterator[Poly]:
+    """All q^k polynomials of degree < k, zero first, in the order of
+    enumerate_monic: lexicographic in (c0, ..., c_{k-1}) with the constant
+    term most significant."""
+    for tail in itertools.product(range(field.q), repeat=k):
+        cs = list(tail)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        yield Poly(field, cs, trusted=True)
 
 
 @lru_cache(maxsize=None)

@@ -24,11 +24,11 @@ from .places import (
     residue,
     residue_inf,
     sorted_places,
-    unit_residue,
     val_at_least,
     valuation,
 )
-from .polyring import Poly, gcd, invmod, powmod
+from .polyring import Poly, enumerate_residues, gcd, invmod, power_character
+from .symbols import local_symbol
 
 SUMSET_MIN_FIELD_SIZE = 11  # trace sumsets cover the residue field only above this
 
@@ -63,18 +63,11 @@ class RamificationSet:
         return f"Delta({self.a}, {self.b}) = {{{inside}}}"
 
 
-def _local_symbol_sign(a: RatFunc, b: RatFunc, place: Place) -> int:
-    # same value as symbols.local_symbol, kept import-cycle free
-    from .symbols import local_symbol
-
-    return local_symbol(a, b, place).sign
-
-
 @lru_cache(maxsize=8192)
 def _delta_cached(a: RatFunc, b: RatFunc) -> RamificationSet:
     candidates = set(odd_support(a)) | set(odd_support(b))
     ramified = frozenset(
-        place for place in candidates if _local_symbol_sign(a, b, place) == -1
+        place for place in candidates if local_symbol(a, b, place).sign == -1
     )
     return RamificationSet(a, b, ramified)
 
@@ -207,11 +200,14 @@ class USet:
     members: tuple[int, ...]  # element codes, ascending
     sumset_covers: bool
 
-    def elements(self) -> list[FieldElem]:
-        return [FieldElem(self.field, c) for c in self.members]
-
     def __len__(self) -> int:
         return len(self.members)
+
+
+def _in_u_code(field: Field, s: int) -> bool:
+    # U-membership of a field code: s^2 - 4 is a nonzero nonsquare
+    disc = field.sub(field.mul(s, s), field.elem(4).code)
+    return disc != 0 and not field.is_square_code(disc)
 
 
 def u_set(field: Field) -> USet:
@@ -221,34 +217,16 @@ def u_set(field: Field) -> USet:
     """
     if field.q % 2 == 0:
         raise ValueError("irreducible-trace sets require odd characteristic")
-    members = []
-    for s in range(field.q):
-        disc = field.sub(field.mul(s, s), field.elem(4).code)
-        if disc != 0 and not field.is_square_code(disc):
-            members.append(s)
+    members = [s for s in range(field.q) if _in_u_code(field, s)]
     sums = {field.add(x, y) for x in members for y in members}
     return USet(field, tuple(members), len(sums) == field.q)
 
 
 def in_u_residue(r: Poly, prime: Poly) -> bool:
-    """U-membership of a residue r in F_q[t]/(P), by the discriminant test."""
-    field = r.field
-    d = len(prime.coeffs) - 1
-    disc = (r * r - Poly.constant(field, 4)) % prime
-    if disc.is_zero:
-        return False
-    s = powmod(disc, (field.q ** d - 1) // 2, prime)
-    return s.coeffs == (field.neg_one_code,)
-
-
-def _in_u_at_place(x: RatFunc, place: Place) -> bool:
-    # U-membership of red_v(x); requires v(x) >= 0
-    if place.is_infinite:
-        field = x.field
-        r = residue_inf(x).code
-        disc = field.sub(field.mul(r, r), field.elem(4).code)
-        return disc != 0 and not field.is_square_code(disc)
-    return in_u_residue(residue(x, place), place.prime)
+    """U-membership of a residue r in F_q[t]/(P), by the discriminant test:
+    the power character of r^2 - 4 is -1 (a zero discriminant gives 0)."""
+    disc = r * r - Poly.constant(r.field, 4)
+    return power_character(disc, prime) == r.field.neg_one_code
 
 
 # --- decomposition of T elements into S + S ---
@@ -285,20 +263,14 @@ def _targeted_candidate(x: RatFunc, places: list[Place], rng: Random) -> RatFunc
         if place.is_infinite:
             r = residue_inf(x).code
             for u in range(field.q):
-                du = field.sub(field.mul(u, u), field.elem(4).code)
-                dr = field.sub(r, u)
-                dv = field.sub(field.mul(dr, dr), field.elem(4).code)
-                if (du != 0 and not field.is_square_code(du)
-                        and dv != 0 and not field.is_square_code(dv)):
+                if _in_u_code(field, u) and _in_u_code(field, field.sub(r, u)):
                     return u
             return None
         prime = place.prime
         rx = residue(x, place)
         d = len(prime.coeffs) - 1
         if field.q ** d <= 4096:
-            import itertools
-
-            cands = (Poly(field, tail) for tail in itertools.product(range(field.q), repeat=d))
+            cands = enumerate_residues(field, d)
         else:
             cands = (
                 Poly(field, [rng.randrange(field.q) for _ in range(d)]) for _ in range(4096)

@@ -18,8 +18,8 @@ from .definability import (
 )
 from .dirichlet import pi_q, uniformity_report
 from .gf import field_make, smallest_nonsquare
-from .places import Place, RatFunc, parse_ratfunc, random_ratfunc
-from .polyring import Poly, enumerate_monic, is_irreducible, monic_irreducibles, parse_poly
+from .places import Place, RatFunc, random_ratfunc
+from .polyring import Poly, enumerate_monic, enumerate_residues, is_irreducible, monic_irreducibles, parse_poly
 from .quaternion import (
     decompose_t_element,
     delta,
@@ -171,7 +171,7 @@ def criterion_6(seed: int) -> CriterionResult:
         field = field_make(q)
         for deg in (1, 2):
             for prime in monic_irreducibles(field, deg):
-                residues = [Poly(field, tail) for tail in _tails(q, deg)]
+                residues = list(enumerate_residues(field, deg))
                 squares = {(r * r % prime).coeffs for r in residues}
                 for r in residues:
                     total += 1
@@ -186,12 +186,6 @@ def criterion_6(seed: int) -> CriterionResult:
         f"{total} residues against enumeration, {bad} disagreements",
         time.monotonic() - start,
     )
-
-
-def _tails(q: int, width: int):
-    import itertools
-
-    return itertools.product(range(q), repeat=width)
 
 
 def criterion_7(seed: int) -> CriterionResult:

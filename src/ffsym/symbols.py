@@ -16,7 +16,6 @@ ignored by definition).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,14 +23,13 @@ from .gf import Field, FieldElem
 from .places import (
     Place,
     RatFunc,
-    odd_support,
     residue,
     residue_inf,
     sorted_places,
     support,
     valuation,
 )
-from .polyring import Poly, enumerate_monic, factor, gcd, is_irreducible, monic_irreducibles, powmod
+from .polyring import Poly, enumerate_monic, enumerate_residues, factor, gcd, is_irreducible, monic_irreducibles, power_character
 
 
 class SymbolValue:
@@ -105,12 +103,8 @@ class SymbolValue:
         return hash((self.field.p, self.field.e, self.code))
 
     def __repr__(self) -> str:
-        if self.code == 0:
-            return "0"
-        if self.code == self.field.one_code:
-            return "1"
-        if self.code == self.field.neg_one_code:
-            return "-1"
+        if self.code in (0, self.field.one_code, self.field.neg_one_code):
+            return str(self.sign)
         return self.field.element_repr(self.code)
 
 
@@ -131,14 +125,7 @@ def residue_symbol(alpha: Poly, prime: Poly, n: int = 2) -> SymbolValue:
     _require_root_order(field, n)
     if not prime.is_monic or prime.is_constant or not is_irreducible(prime):
         raise ValueError("lower argument must be a monic irreducible of positive degree")
-    r = alpha % prime
-    if r.is_zero:
-        return SymbolValue.zero(field)
-    d = len(prime.coeffs) - 1
-    s = powmod(r, (field.q ** d - 1) // n, prime)
-    if len(s.coeffs) != 1:
-        raise AssertionError("residue symbol did not land in the constants")
-    return SymbolValue(field, s.coeffs[0])
+    return SymbolValue(field, power_character(alpha, prime, n))
 
 
 def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> SymbolValue:
@@ -226,12 +213,9 @@ def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> SymbolValue:
     if valuation(gamma, place) != 0:
         raise AssertionError("gamma is not a unit at the place")
     if place.is_infinite:
-        r = residue_inf(gamma)
-        code = field.pow_(r.code, (field.q - 1) // 2)
+        code = field.pow_(residue_inf(gamma).code, (field.q - 1) // 2)
     else:
-        r = residue(gamma, place)
-        s = powmod(r, (field.q ** place.residue_degree - 1) // 2, place.prime)
-        code = s.coeffs[0] if s.coeffs else 0
+        code = power_character(residue(gamma, place), place.prime)
     out = SymbolValue(field, code)
     if out.sign == 0:
         raise AssertionError("local symbol of units cannot vanish")
@@ -303,13 +287,15 @@ class SweepResult:
 
 
 def _poly_index(coeffs: Sequence[int], q: int, width: int) -> int:
+    # position of the residue with these coefficients in
+    # enumerate_residues(field, width): base q, constant term most significant
     idx = 0
-    for i in range(width - 1, -1, -1):
+    for i in range(width):
         idx = idx * q + (coeffs[i] if i < len(coeffs) else 0)
     return idx
 
 
-def reciprocity_sweep(field: Field, max_deg: int, n: int = 2, jobs: int = 1) -> SweepResult:
+def reciprocity_sweep(field: Field, max_deg: int, n: int = 2) -> SweepResult:
     _require_root_order(field, n)
     start = time.monotonic()
     q = field.q
@@ -334,22 +320,17 @@ def reciprocity_sweep(field: Field, max_deg: int, n: int = 2, jobs: int = 1) -> 
         fact.append(entry)
         masks.append(sum(1 << pos for pos, _ in entry))
 
-    # symbol tables: for each prime, residue-index -> residue^((q^d-1)/n)
-    exps = [(q ** (len(pr.coeffs) - 1) - 1) // n for pr in primes]
+    # symbol tables: for each prime, residue index -> power character;
+    # const_sym[pos][a] is the table entry of the constant residue a
     symtab: list[list[int]] = []
     res_of_monic: list[list[int]] = []
-    for pos, pr in enumerate(primes):
+    const_sym: list[list[int]] = []
+    for pr in primes:
         d = len(pr.coeffs) - 1
-        table = [0] * (q ** d)
-        for coeffs_tail in _all_code_tuples(q, d):
-            r = Poly(field, coeffs_tail, trusted=True)
-            if r.is_zero:
-                continue
-            s = powmod(r, exps[pos], pr)
-            table[_poly_index(coeffs_tail, q, d)] = s.coeffs[0]
+        table = [power_character(r, pr, n) for r in enumerate_residues(field, d)]
         symtab.append(table)
         res_of_monic.append([_poly_index((f % pr).coeffs, q, d) for f in monics])
-    const_sym = [[field.pow_(a, e) for a in range(q)] for e in exps]
+        const_sym.append([table[_poly_index((a,), q, d)] for a in range(q)])
     sgn = [field.pow_(a, (q - 1) // n) for a in range(q)]
 
     degs = [len(f.coeffs) - 1 for f in monics]
@@ -368,67 +349,49 @@ def reciprocity_sweep(field: Field, max_deg: int, n: int = 2, jobs: int = 1) -> 
         [field.one_code] + [field.inv(c) for c in row[1:]] for row in sgn_pow
     ]  # index 0 unused (units only)
 
-    def run_shard(shard: int) -> tuple[int, int, list[tuple[int, int, int, int, int, int]]]:
-        mul, inv, pow_ = field.mul, field.inv, field.pow_
-        one = field.one_code
-        neg_one = field.neg_one_code
-        pair_block = len(units) * len(units)
-        total = 0
-        coprime = 0
-        bad = []
-        for i in range(shard, len(monics), max(jobs, 1)):
-            mask_i = masks[i]
-            fact_i = fact[i]
-            deg_i = degs[i]
-            cp_i = const_part[i]
-            inv_sgn_i = inv_sgn_pow[deg_i]
-            for j in range(len(monics)):
-                total += pair_block
-                if mask_i & masks[j]:
-                    continue
-                coprime += pair_block
-                deg_j = degs[j]
-                # monic-part symbols (f_i / g_j) and (g_j / f_i)
-                s_ij = one
-                for pos, mult in fact[j]:
-                    s_ij = mul(s_ij, pow_(symtab[pos][res_of_monic[pos][i]], mult))
-                s_ji = one
-                for pos, mult in fact_i:
-                    s_ji = mul(s_ji, pow_(symtab[pos][res_of_monic[pos][j]], mult))
-                sign_flip = flip and (deg_i * deg_j) % 2 == 1
-                cp_j = const_part[j]
-                sgn_j = sgn_pow[deg_j]
-                inv_parts = [inv(mul(cp_i[b], s_ji)) for b in units]
-                for a in units:
-                    lhs_num = mul(cp_j[a], s_ij)
-                    rhs_a = mul(sgn_j[a], neg_one) if sign_flip else sgn_j[a]
-                    for bi, b in enumerate(units):
-                        lhs = mul(lhs_num, inv_parts[bi])
-                        rhs = mul(rhs_a, inv_sgn_i[b])
-                        if lhs != rhs:
-                            bad.append((a, i, b, j, lhs, rhs))
-        return total, coprime, bad
-
-    shards = max(jobs, 1)
-    if shards == 1:
-        results = [run_shard(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            results = list(pool.map(run_shard, range(shards)))
-
-    total = sum(r[0] for r in results)
-    coprime = sum(r[1] for r in results)
+    mul, inv, pow_ = field.mul, field.inv, field.pow_
+    one = field.one_code
+    neg_one = field.neg_one_code
+    pair_block = len(units) * len(units)
+    total = 0
+    coprime = 0
     violations = []
-    for _, _, bad in results:
-        for a, i, b, j, lhs, rhs in bad:
-            violations.append(
-                SweepViolation(
-                    monics[i].scale(a),
-                    monics[j].scale(b),
-                    FieldElem(field, lhs),
-                    FieldElem(field, rhs),
-                )
-            )
+    for i in range(len(monics)):
+        mask_i = masks[i]
+        fact_i = fact[i]
+        deg_i = degs[i]
+        cp_i = const_part[i]
+        inv_sgn_i = inv_sgn_pow[deg_i]
+        for j in range(len(monics)):
+            total += pair_block
+            if mask_i & masks[j]:
+                continue
+            coprime += pair_block
+            deg_j = degs[j]
+            # monic-part symbols (f_i / g_j) and (g_j / f_i)
+            s_ij = one
+            for pos, mult in fact[j]:
+                s_ij = mul(s_ij, pow_(symtab[pos][res_of_monic[pos][i]], mult))
+            s_ji = one
+            for pos, mult in fact_i:
+                s_ji = mul(s_ji, pow_(symtab[pos][res_of_monic[pos][j]], mult))
+            sign_flip = flip and (deg_i * deg_j) % 2 == 1
+            cp_j = const_part[j]
+            sgn_j = sgn_pow[deg_j]
+            inv_parts = [inv(mul(cp_i[b], s_ji)) for b in units]
+            for a in units:
+                lhs_num = mul(cp_j[a], s_ij)
+                rhs_a = mul(sgn_j[a], neg_one) if sign_flip else sgn_j[a]
+                for bi, b in enumerate(units):
+                    lhs = mul(lhs_num, inv_parts[bi])
+                    rhs = mul(rhs_a, inv_sgn_i[b])
+                    if lhs != rhs:
+                        violations.append(SweepViolation(
+                            monics[i].scale(a),
+                            monics[j].scale(b),
+                            FieldElem(field, lhs),
+                            FieldElem(field, rhs),
+                        ))
     return SweepResult(
         field_spec=field.spec,
         max_deg=max_deg,
@@ -438,13 +401,3 @@ def reciprocity_sweep(field: Field, max_deg: int, n: int = 2, jobs: int = 1) -> 
         violations=tuple(violations),
         elapsed=time.monotonic() - start,
     )
-
-
-def _all_code_tuples(q: int, width: int):
-    import itertools
-
-    for tail in itertools.product(range(q), repeat=width):
-        cs = list(tail)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        yield tuple(cs)

@@ -1,0 +1,71 @@
+"""Write the golden CLI transcripts checked by ``tests/test_golden.py``.
+
+Each case runs ``python -m ffsym.cli <argv>`` in a fresh process against the
+``src/`` tree given by ``--src`` and stores its stdout byte for byte as
+``<name>.json``; ``manifest.json`` records every case's argv and exit code.
+Regenerate only from a commit whose outputs are the reference:
+
+    python tests/golden/make_goldens.py --src src --out tests/golden
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# The README CLI examples (selftest excluded; --json in place of --csv),
+# then extension-field cases: tabled F_9, F_25, F_243 and table-less F_625.
+CASES = {
+    "symbol": ["symbol", "--q", "3", "--alpha", "t", "--prime", "t+1", "--n", "2"],
+    "local_symbol": ["local-symbol", "--q", "3", "--alpha", "2", "--beta", "1/t", "--place", "inf"],
+    "hilbert": ["hilbert", "--q", "3", "--alpha", "t", "--beta", "t+1"],
+    "reciprocity_sweep": ["reciprocity-sweep", "--q", "5", "--degree-max", "3"],
+    "delta": ["delta", "--q", "3", "--a", "t", "--b", "t+1"],
+    "member": ["member", "--q", "3", "--set", "Rtilde", "--x", "t^2/t+1", "--a", "t", "--b", "t+1"],
+    "u_set": ["u-set", "--q", "13"],
+    "witness": ["witness", "--q", "3", "--prime", "t^2+1"],
+    "membership": ["membership", "--q", "3", "--target", "A", "--x", "t^3+2*t"],
+    "ap_primes": ["ap-primes", "--q", "3", "--f", "t", "--c", "1", "--k", "2"],
+    "uniformity": ["uniformity", "--q", "13", "--f", "t", "--k", "3"],
+    "ext_reciprocity_sweep_3e2": ["reciprocity-sweep", "--q", "3^2", "--degree-max", "2"],
+    "ext_hilbert_3e5": ["hilbert", "--q", "3^5", "--alpha", "[0,1]*t", "--beta", "t^2+[1,1]*t+1"],
+    "ext_hilbert_5e4": ["hilbert", "--q", "5^4", "--alpha", "[0,1]*t^2+t",
+                        "--beta", "t^2+[1,1]*t+[0,0,1]"],
+    "ext_u_set_5e2": ["u-set", "--q", "5^2"],
+    "ext_symbol_3e2_n4": ["symbol", "--q", "3^2", "--alpha", "t+[1,1]",
+                          "--prime", "t^2+[0,1]*t+[1,1]", "--n", "4"],
+    "ext_local_symbol_5e4": ["local-symbol", "--q", "5^4", "--alpha", "t^2+[0,1]",
+                             "--beta", "t+[1,1]", "--place", "t+[1,1]"],
+    "ext_delta_3e2": ["delta", "--q", "3^2", "--a", "[1,1]*t+[2,1]", "--b", "[1,1]*t^2+t+[2,0]"],
+    "ext_witness_3e2": ["witness", "--q", "3^2", "--prime", "t+[0,1]"],
+    "ext_membership_3e2": ["membership", "--q", "3^2", "--target", "AorAinf",
+                           "--x", "t/t^2+[0,1]", "--samples", "4"],
+    "ext_uniformity_3e2": ["uniformity", "--q", "3^2", "--f", "t+[0,1]", "--k", "3"],
+}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="the src/ directory to run")
+    ap.add_argument("--out", required=True, help="directory for the transcripts")
+    args = ap.parse_args()
+    out = Path(args.out)
+    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
+    manifest = {}
+    for name, argv in CASES.items():
+        argv = argv + ["--json"]
+        proc = subprocess.run([sys.executable, "-m", "ffsym.cli", *argv],
+                              env=env, capture_output=True, check=False)
+        (out / f"{name}.json").write_bytes(proc.stdout)
+        manifest[name] = {"argv": argv, "exit": proc.returncode}
+        print(f"{name}: exit {proc.returncode}")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -50,13 +50,6 @@ def test_reciprocity_sweep(capsys):
     assert doc["result"]["violations"] == []
 
 
-def test_reciprocity_sweep_jobs_identical(capsys):
-    _, out1, _ = run(capsys, ["reciprocity-sweep", "--q", "3", "--degree-max", "2", "--json"])
-    _, out2, _ = run(capsys, ["reciprocity-sweep", "--q", "3", "--degree-max", "2",
-                              "--jobs", "3", "--json"])
-    assert out1 == out2
-
-
 def test_delta_and_member(capsys):
     code, out, _ = run(capsys, ["delta", "--q", "3", "--a", "t", "--b", "t+1", "--json"])
     assert code == 0
@@ -124,6 +117,18 @@ def test_json_determinism(capsys):
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["selftest", "--criteria", "99"], "criterion"),
+    (["reciprocity-sweep", "--degree-max", "-1"], "--degree-max"),
+    (["uniformity", "--f", "t", "--k", "0"], "--k"),
+    (["membership", "--target", "A", "--x", "t", "--samples", "0"], "--samples"),
+], ids=["criteria", "degree-max", "k", "samples"])
+def test_out_of_range_input_exits_2(capsys, argv, named):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and named in err
 
 
 def test_usage_errors(capsys):

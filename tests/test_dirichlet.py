@@ -136,11 +136,3 @@ def test_uniformity_examples():
     assert rep13.expected == pytest.approx(728 / 12)
     assert rep13.max_deviation <= 0.5
     assert len(rep13.rows) == 12
-
-
-def test_uniformity_jobs_deterministic():
-    a = uniformity_report(Poly.t(F5), 3, jobs=1)
-    b = uniformity_report(Poly.t(F5), 3, jobs=3)
-    assert [(str(r.residue), r.count) for r in a.rows] == [
-        (str(r.residue), r.count) for r in b.rows
-    ]

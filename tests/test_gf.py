@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from ffsym.gf import Field, field_make, parse_field_spec, smallest_nonsquare
@@ -65,6 +67,37 @@ def test_extension_field_basic():
     for code in range(1, 9):
         x = f9.elem(f9._decode(code))
         assert x * x.inverse() == f9.one
+
+
+# Moduli picked by the smallest-irreducible rule; every extension-field
+# element code depends on them, so a change to the search must not move them.
+PINNED_MODULI = {
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (3, 12): (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(PINNED_MODULI))
+def test_extension_modulus_pinned(p, e):
+    assert field_make(p, e).modulus == PINNED_MODULI[(p, e)]
+
+
+@pytest.mark.parametrize("p,e", [(5, 4), (3, 6), (2, 9)])
+def test_tableless_field_axioms(p, e):
+    field = field_make(p, e)
+    assert field.q > 256 and field._mul_table is None  # the vector path
+    rng = Random(f"axioms:{p}^{e}")
+    mul, add = field.mul, field.add
+    for _ in range(300):
+        a, b, c = (rng.randrange(field.q) for _ in range(3))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        if a:
+            assert mul(a, field.inv(a)) == field.one_code
 
 
 def test_is_square_examples():

@@ -8,6 +8,7 @@ from ffsym.polyring import (
     NEG_INF,
     Poly,
     enumerate_monic,
+    enumerate_residues,
     factor,
     format_poly,
     gcd,
@@ -15,6 +16,7 @@ from ffsym.polyring import (
     is_irreducible,
     monic_irreducibles,
     parse_poly,
+    power_character,
     powmod,
     random_poly,
     xgcd,
@@ -145,6 +147,27 @@ def test_enumerate_monic():
     assert list(enumerate_monic(F5, 0)) == [Poly.one(F5)]
     polys = list(enumerate_monic(F3, 2))
     assert len(set(polys)) == 9
+
+
+def test_enumerate_residues_follows_monic_order():
+    for field, k in ((F3, 0), (F3, 2), (F5, 1), (F9, 2)):
+        t_k = Poly(field, (0,) * k + (1,))
+        tails = [f - t_k for f in enumerate_monic(field, k)]
+        assert list(enumerate_residues(field, k)) == tails
+
+
+def test_power_character_against_squares():
+    # Euler's criterion mod t on a table-less field vs enumerated squares
+    field = field_make(5, 4)
+    t = Poly.t(field)
+    squares = {field.mul(x, x) for x in range(field.q)}
+    for c in range(field.q):
+        expected = 0 if c == 0 else field.one_code if c in squares else field.neg_one_code
+        assert power_character(Poly(field, [c]), t) == expected
+        assert power_character(Poly(field, [c, 1]) * t, t) == 0
+    # quartic character over F_9 mod an irreducible quadratic
+    prime = parse_poly(F9, "t^2+[0,1]*t+[1,1]")
+    assert power_character(parse_poly(F9, "t+[1,1]"), prime, 4) == F9.elem([0, 2]).code
 
 
 def test_irreducible_counts_match_mobius():
