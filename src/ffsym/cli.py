@@ -5,7 +5,7 @@ Every subcommand takes --q "p^e" plus the shared flags --seed, --json/--csv,
 per invocation with the fixed envelope {command, field, inputs, result,
 evidence}, serialized with sorted keys so identical (argv, seed) runs are
 byte-identical.  Exit codes: 0 success/verified, 1 a verified identity
-failed, 2 usage error.
+failed, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -451,6 +451,10 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: neither bad input nor a failed identity
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     field_spec = parse_field_spec(args.q).spec
     if args.json:
         doc = {

@@ -1,14 +1,14 @@
-"""Exact arithmetic in finite fields F_p and F_{p^e}.
+"""Exact arithmetic in finite fields F_p and F_{p^e}, for q = p^e <= MAX_Q.
 
 Elements are stored as integer codes in ``range(q)``.  For a prime field
 the code is the residue itself; for an extension field F_{p^e} the code
 packs the coefficient vector (c0, c1, ..., c_{e-1}) of the element in the
 modulus basis as c0 + c1*p + ... + c_{e-1}*p^{e-1}.
 
-Small fields (q <= _TABLE_LIMIT) precompute full add/mul/neg/inv tables so
-that the polynomial layer can run tight loops over plain ints.  Larger
-prime fields fall back to native modular arithmetic; larger extension
-fields fall back to vector arithmetic.
+Every field keeps O(q) tables of discrete logarithms to its smallest-code
+primitive element g; extension fields add Zech logarithms log(1 + g^k), so
+that sums need no coefficient vectors either.  Prime fields add, negate and
+multiply natively mod p.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence, Union
 
-_TABLE_LIMIT = 256
+# Largest supported field order; every field holds log tables of O(q) ints.
+MAX_Q = 2 ** 16
 
 
 def is_prime(n: int) -> bool:
@@ -54,10 +55,14 @@ class Field:
     """
 
     def __init__(self, p: int, e: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
+        # checked before p ** e and is_prime(p), which a huge p or e would stall;
+        # p >= 2 in any field, so 2^e <= MAX_Q bounds e before the power is taken
+        if p > MAX_Q or e > MAX_Q.bit_length() or p ** e > MAX_Q:
+            raise ValueError(f"q = {p}^{e} exceeds the field-size limit MAX_Q = 2^16 = {MAX_Q}")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -68,26 +73,24 @@ class Field:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-        if q > _TABLE_LIMIT:
-            self._mul_table = self._add_table = None
-            self._neg_table = self._inv_table = None
-            return
-        if e == 1:
-            self._add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul_table = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self._neg_table = [(-a) % p for a in range(p)]
-            self._inv_table = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-            return
-        vecs = [self._decode(c) for c in range(q)]
-        self._add_table = [
-            [self._encode([(x + y) % p for x, y in zip(va, vb)]) for vb in vecs] for va in vecs
+        # _exp[k] = g^k for 0 <= k < 2(q-1): doubled, so a sum of two logs
+        # indexes it directly.  _log[0] = -1 stands for the log of zero.
+        p, q, n = self.p, self.q, self.q - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        g = next(c for c in range(1, q) if all(self._pow_slow(c, n // r) != 1 for r in primes))
+        exp = [1]
+        for _ in range(n - 1):
+            exp.append(self._mul_slow(exp[-1], g))
+        self._exp = exp + exp
+        self._log = [-1] * q
+        for k, code in enumerate(exp):
+            self._log[code] = k
+        self._log_neg_one = self._log[self.neg_one_code]
+        # _zech[k] = log(1 + g^k), or -1 where 1 + g^k = 0; adding 1 bumps
+        # only the digit c0, so each entry costs O(1)
+        self._zech = None if self.is_prime_field else [
+            self._log[c + 1 if c % p != p - 1 else c + 1 - p] for c in exp
         ]
-        self._neg_table = [self._encode([(-x) % p for x in va]) for va in vecs]
-        self._mul_table = [[self._mul_vec(va, vb) for vb in vecs] for va in vecs]
-        self._inv_table = [0] * q
-        for a in range(1, q):
-            self._inv_table[a] = self.pow_(a, q - 2)
 
     # --- code <-> coefficient vector ---
 
@@ -105,14 +108,17 @@ class Field:
             code = code * self.p + c
         return code
 
-    def _mul_vec(self, va: Sequence[int], vb: Sequence[int]) -> int:
-        # code of the product of two coefficient vectors, reduced by the
-        # monic modulus: y^e = -(m_0 + m_1 y + ... + m_{e-1} y^{e-1})
+    # --- reference arithmetic: builds the tables, and tests check them against it ---
+
+    def _mul_slow(self, a: int, b: int) -> int:
+        # schoolbook product of the coefficient vectors, reduced by the monic
+        # modulus: y^e = -(m_0 + m_1 y + ... + m_{e-1} y^{e-1})
         p, e, mod = self.p, self.e, self.modulus
         prod = [0] * (2 * e - 1)
-        for i, x in enumerate(va):
+        vb = [(j, y) for j, y in enumerate(self._decode(b)) if y]
+        for i, x in enumerate(self._decode(a)):
             if x:
-                for j, y in enumerate(vb):
+                for j, y in vb:
                     prod[i + j] += x * y
         for k in range(2 * e - 2, e - 1, -1):
             c = prod[k] % p
@@ -121,42 +127,45 @@ class Field:
                     prod[k - e + i] -= c * mod[i]
         return self._encode([c % p for c in prod[:e]])
 
+    def _pow_slow(self, a: int, n: int) -> int:
+        result = self.one_code
+        while n:
+            if n & 1:
+                result = self._mul_slow(result, a)
+            a = self._mul_slow(a, a)
+            n >>= 1
+        return result
+
     # --- code-level arithmetic ---
 
     def add(self, a: int, b: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[a][b]
         if self.is_prime_field:
             return (a + b) % self.p
-        p = self.p
-        return self._encode([(x + y) % p for x, y in zip(self._decode(a), self._decode(b))])
+        if not a or not b:
+            return a or b
+        la = self._log[a]
+        # g^la + g^lb = g^la (1 + g^(lb - la)); a negative difference
+        # indexes _zech from the end, which is the same class mod q - 1
+        z = self._zech[self._log[b] - la]
+        return self._exp[la + z] if z >= 0 else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self._neg_table is not None:
-            return self._neg_table[a]
         if self.is_prime_field:
             return (-a) % self.p
-        p = self.p
-        return self._encode([(-x) % p for x in self._decode(a)])
+        return self._exp[self._log[a] + self._log_neg_one] if a else 0
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
         if self.is_prime_field:
             return (a * b) % self.p
-        return self._mul_vec(self._decode(a), self._decode(b))
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero field element")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        if self.is_prime_field:
-            return pow(a, self.p - 2, self.p)
-        return self.pow_(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -164,37 +173,27 @@ class Field:
     def pow_(self, a: int, n: int) -> int:
         if n < 0:
             raise ValueError("exponent must be non-negative")
-        if self.is_prime_field:
-            return pow(a, n, self.p)
-        result = self.one_code
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        if a == 0:
+            return 0 if n else self.one_code
+        return self._exp[self._log[a] * n % (self.q - 1)]
 
     def is_square_code(self, a: int) -> bool:
         if a == 0:
             return True
         if self.q % 2 == 0:
-            raise ValueError("square test by exponent requires odd q")
-        return self.pow_(a, (self.q - 1) // 2) == self.one_code
+            raise ValueError("square test by log parity requires odd q")
+        return self._log[a] % 2 == 0
 
     def sqrt_code(self, a: int) -> int | None:
         """A square root of a, or None.  Not part of the symbol contracts."""
         if a == 0:
             return 0
-        if self.q % 2 == 0:
-            return self.pow_(a, self.q // 2)
-        if not self.is_square_code(a):
-            return None
-        if self.q % 4 == 3:
-            return self.pow_(a, (self.q + 1) // 4)
-        for r in range(self.q):  # bounded enumeration, desk-scale fields only
-            if self.mul(r, r) == a:
-                return r
-        return None
+        k = self._log[a]
+        if k % 2:
+            if self.q % 2:
+                return None
+            k += self.q - 1  # odd group order: every element is a square
+        return self._exp[k // 2]
 
     # --- construction / presentation ---
 

@@ -498,6 +498,10 @@ def random_irreducible(field: Field, rng: Random, deg: int) -> Poly:
 # terms "c", "c*t", "c*t^k", "t^k", "t" joined by "+"; coefficients in
 # decimal, reduced mod p; extension-field coefficients "[c0,c1,...]".
 
+# Largest exponent parse_poly accepts, checked before the coefficient list
+# is allocated; a degree this high is an input error, not a workload.
+MAX_PARSED_DEGREE = 10_000
+
 _TERM_RE = re.compile(
     r"^(?:(?P<coef>-?\d+|\[[-\d,\s]*\])(?:\*(?P<tpart1>t(?:\^(?P<k1>\d+))?))?"
     r"|(?P<tpart2>t(?:\^(?P<k2>\d+))?))$"
@@ -531,6 +535,8 @@ def parse_poly(field: Field, text: str) -> Poly:
         else:
             code = field.one_code
             k = int(m.group("k2") or 1)
+        if k > MAX_PARSED_DEGREE:
+            raise ValueError(f"exponent {k} exceeds MAX_PARSED_DEGREE = {MAX_PARSED_DEGREE}")
         coeffs[k] = field.add(coeffs.get(k, 0), code)
     if not coeffs:
         return Poly.zero(field)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ffsym import cli
 from ffsym.cli import main
 
 F3_SYMBOL = ["symbol", "--q", "3", "--alpha", "t", "--prime", "t+1", "--n", "2"]
@@ -124,11 +125,25 @@ def test_json_determinism(capsys):
     (["reciprocity-sweep", "--degree-max", "-1"], "--degree-max"),
     (["uniformity", "--f", "t", "--k", "0"], "--k"),
     (["membership", "--target", "A", "--x", "t", "--samples", "0"], "--samples"),
-], ids=["criteria", "degree-max", "k", "samples"])
+    (["u-set", "--q", "3^40"], "MAX_Q"),
+    (["u-set", "--q", "2^17"], "MAX_Q"),
+    (["u-set", "--q", "65537"], "MAX_Q"),
+    (["symbol", "--alpha", "t^99999999", "--prime", "t+1"], "MAX_PARSED_DEGREE"),
+], ids=["criteria", "degree-max", "k", "samples", "q-3^40", "q-2^17", "q-65537", "alpha-degree"])
 def test_out_of_range_input_exits_2(capsys, argv, named):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and named in err
+
+
+def test_unexpected_exception_exits_3(capsys, monkeypatch):
+    def broken_handler(args):
+        raise AssertionError("unreachable state\nsecond line")
+
+    monkeypatch.setitem(cli._HANDLERS, "symbol", broken_handler)
+    code, out, err = run(capsys, F3_SYMBOL)
+    assert code == 3 and out == ""
+    assert err == "internal error: AssertionError: unreachable state second line\n"
 
 
 def test_usage_errors(capsys):

@@ -1,8 +1,10 @@
+import time
 from random import Random
 
 import pytest
 
-from ffsym.gf import Field, field_make, parse_field_spec, smallest_nonsquare
+from ffsym import gf
+from ffsym.gf import MAX_Q, Field, field_make, parse_field_spec, smallest_nonsquare
 
 ODD_Q = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2), (3, 3),
          (29, 1), (31, 1), (37, 1), (41, 1), (43, 1), (47, 1), (7, 2)]
@@ -83,21 +85,41 @@ PINNED_MODULI = {
 
 @pytest.mark.parametrize("p,e", sorted(PINNED_MODULI))
 def test_extension_modulus_pinned(p, e):
-    assert field_make(p, e).modulus == PINNED_MODULI[(p, e)]
+    # (3, 12) is above MAX_Q, so only the modulus search is checked there
+    assert gf._smallest_irreducible(p, e) == PINNED_MODULI[(p, e)]
+    assert p ** e > MAX_Q or field_make(p, e).modulus == PINNED_MODULI[(p, e)]
 
 
-@pytest.mark.parametrize("p,e", [(5, 4), (3, 6), (2, 9)])
-def test_tableless_field_axioms(p, e):
+@pytest.mark.parametrize("p,e", [(2, 1), (257, 1), (3, 2), (2, 3), (3, 5), (5, 4),
+                                 (3, 6), (2, 8), (2, 9), (17, 2)])
+def test_field_arithmetic_matches_reference(p, e):
     field = field_make(p, e)
-    assert field.q > 256 and field._mul_table is None  # the vector path
+    q = field.q
+    # the doubled exp table starts with every nonzero code exactly once
+    assert sorted(field._exp[:q - 1]) == list(range(1, q))
     rng = Random(f"axioms:{p}^{e}")
-    mul, add = field.mul, field.add
+    mul, add, dec = field.mul, field.add, field._decode
     for _ in range(300):
-        a, b, c = (rng.randrange(field.q) for _ in range(3))
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert mul(a, b) == field._mul_slow(a, b)
+        assert add(a, b) == field._encode([(x + y) % p for x, y in zip(dec(a), dec(b))])
+        assert field.neg(a) == field._encode([-x % p for x in dec(a)])
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
         if a:
             assert mul(a, field.inv(a)) == field.one_code
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_make(3, 12),
+    lambda: field_make(65537),
+    lambda: parse_field_spec("3^1000000000"),
+], ids=["3^12", "65537", "3^1000000000"])
+def test_field_above_max_q_rejected_fast(make):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="MAX_Q"):
+        make()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_is_square_examples():
@@ -134,12 +156,12 @@ def test_square_structure(p, e):
             )
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)])
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (2, 3), (2, 4)])
 def test_sqrt_code(p, e):
     field = field_make(p, e)
     for a in range(field.q):
         r = field.sqrt_code(a)
-        if field.is_square_code(a):
+        if field.q % 2 == 0 or field.is_square_code(a):  # even q: all squares
             assert r is not None and field.mul(r, r) == a
         else:
             assert r is None
