@@ -26,7 +26,7 @@ from .definability import (
     is_constant_semantic,
     witness_pair,
 )
-from .dirichlet import APQuery, find_prime_in_ap, pi_ap, uniformity_report
+from .dirichlet import APQuery, check_search_work, find_prime_in_ap, pi_ap, uniformity_report
 from .gf import Field, FieldElem, parse_field_spec, smallest_nonsquare
 from .places import Place, parse_place, parse_ratfunc, valuation
 from .polyring import parse_poly
@@ -254,9 +254,10 @@ def cmd_ap_primes(args):
     f = parse_poly(field, args.f)
     c = parse_poly(field, args.c)
     query = APQuery(f, c, args.k)
+    check_search_work(f, args.k)
     count = pi_ap(query)
     rng = Random(f"{args.seed}:ap")
-    example = find_prime_in_ap(f, c, args.k, rng)
+    example = find_prime_in_ap(f, c, args.k, rng) if count else None
     inputs = {"f": str(f), "c": str(c), "k": args.k}
     result = {"count": count, "example": None if example is None else str(example)}
     lines = [f"{count} monic irreducibles of degree {args.k} congruent to {c} mod {f}",

@@ -6,10 +6,13 @@ pi_q(k) / Phi_q(f).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 
-from .polyring import Poly, enumerate_monic, enumerate_residues, factor, format_poly, gcd, is_irreducible
+from .polyring import (
+    Poly, enumerate_monic, enumerate_residues, factor, format_poly, gcd, is_irreducible, powmod,
+)
 
 
 def _mobius(n: int) -> int:
@@ -85,12 +88,10 @@ def _ap_candidates(f: Poly, c: Poly, k: int):
 
 
 def pi_ap(query: APQuery) -> int:
-    """Exact count by enumerating the residue class in degree k."""
-    return sum(
-        1
-        for cand in _ap_candidates(query.f, query.c, query.k)
-        if not cand.is_constant and is_irreducible(cand)
-    )
+    """Exact count: the entry of the class of c in ap_prime_counts(f, k)."""
+    f = query.f.monic()
+    c = query.c % f
+    return ap_prime_counts(f, query.k)[c]
 
 
 def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Poly | None:
@@ -143,9 +144,116 @@ class UniformityReport:
 
 
 def unit_residues(f: Poly) -> list[Poly]:
-    """All residues mod f coprime to f (degree < deg f)."""
+    """All residues mod f coprime to f (degree < deg f): those that no prime
+    factor of f divides."""
+    primes = [prime for prime, _ in factor(f)]
     residues = enumerate_residues(f.field, len(f.coeffs) - 1)
-    return [r for r in residues if gcd(r, f).degree == 0]
+    return [r for r in residues if all(not (r % prime).is_zero for prime in primes)]
+
+
+# largest estimated cost of a prime count or a prime search, in table
+# operations (dict lookups or coefficient steps, about 2 us each under
+# Python 3.11 on a 2-vCPU Xeon host): about 10 s
+MAX_AP_WORK = 5 * 10 ** 6
+
+
+def _check_work(work: int, task: str, f: Poly, k: int) -> None:
+    if work > MAX_AP_WORK:
+        raise ValueError(f"{task} of degree {k} mod {format_poly(f)} takes about "
+                         f"10^{math.log10(work):.1f} table operations, "
+                         f"above MAX_AP_WORK = {MAX_AP_WORK:,}")
+
+
+def check_search_work(f: Poly, k: int) -> None:
+    """Raise ValueError naming MAX_AP_WORK when find_prime_in_ap(f, c, k)
+    costs more than it allows: about k candidates until a prime turns up,
+    each a Rabin test of about k^3 log2(q) / 4 steps."""
+    _check_work(k ** 4 * f.field.q.bit_length() // 4, "searching for a prime", f, k)
+
+
+def ap_prime_counts(f: Poly, k: int) -> dict[Poly, int]:
+    """Monic irreducibles of degree k in each unit class mod f, keyed by the
+    residue in unit_residues(f) order, by integer arithmetic in the group ring Z[G],
+    G = (F_q[t]/f)^x (Rosen, GTM 210, ch. 4).
+
+    A_j, the sum of the classes of the monic g of degree j coprime to f, has
+    q^(j-m) on every class when j >= m = deg f and is the set of those g
+    themselves when j < m.  Newton's identity k A_k = sum_{j=1..k} L_j A_{k-j}
+    for the logarithmic derivative of the L-series gives L_j, the sum of
+    deg P [P^n] over prime powers P^n of degree j; peeling
+    d B_d = L_d - sum_{e | d, e < d} e psi_{d/e}(B_e), where psi_n maps the
+    class of x to the class of x^n, leaves B_d, the sum of [P] over the
+    primes P of degree d not dividing f.
+    """
+    if k < 0:
+        raise ValueError("target degree must be >= 0")
+    q, m = f.field.q, len(f.coeffs) - 1
+    # the scan of the q^m residues (about m steps each), then k Newton steps
+    # of about Phi(f) * (k + q^min(m-1, k-m)) each, with q^m for Phi(f)
+    _check_work(q ** m * (m + k * (k + q ** max(0, min(m - 1, k - m)))), "counting primes", f, k)
+    f = f.monic()
+    residues = unit_residues(f)
+    index = {r.coeffs: i for i, r in enumerate(residues)}
+    phi = len(residues)
+    # A_j for j < m, as class indices: a monic g of degree j < m is its own residue
+    sparse = [
+        [index[g.coeffs] for g in enumerate_monic(f.field, j) if g.coeffs in index]
+        for j in range(min(m, k + 1))
+    ]
+    # class of x * g for the sparse g, one row per g, and of x^p, filled on demand
+    products: dict[int, dict[int, int]] = {g: {} for row in sparse for g in row}
+    powers: dict[tuple[int, int], int] = {}
+
+    def power(x: int, n: int) -> int:
+        # x^n one prime p | n at a time, so psi_4 reuses the psi_2 entries
+        p = 2
+        while n > 1:
+            while n % p:
+                p += 1
+            if (x, p) not in powers:
+                powers[x, p] = index[powmod(residues[x], p, f).coeffs]
+            x, n = powers[x, p], n // p
+        return x
+
+    # Newton: L_j = j A_j - sum_{i < j} L_i A_{j-i}; a class sum A_s with
+    # s >= m is flat, so L_i A_s is the scalar q^(s-m) * (sum of L_i) on
+    # every class, and only the sparse A_s are convolved entry by entry
+    lam: list[dict[int, int]] = [{}]
+    lam_sum = [0]
+    for j in range(1, k + 1):
+        flat = j * q ** (j - m) if j >= m else 0
+        acc = {} if j >= m else dict.fromkeys(sparse[j], j)
+        for i in range(1, j):
+            s = j - i
+            if s >= m:
+                flat -= q ** (s - m) * lam_sum[i]
+                continue
+            for g in sparse[s]:
+                row = products[g]
+                for x, v in lam[i].items():
+                    y = row.get(x)
+                    if y is None:
+                        y = row[x] = index[(residues[x] * residues[g] % f).coeffs]
+                    acc[y] = acc.get(y, 0) - v
+        if flat:
+            acc = {x: flat + acc.get(x, 0) for x in range(phi)}
+        lam.append({x: v for x, v in acc.items() if v})
+        lam_sum.append(sum(acc.values()))
+
+    # peel the prime powers off L_d for the divisors d of k
+    divisors = [d for d in range(1, k + 1) if k % d == 0]
+    primes: dict[int, dict[int, int]] = {}
+    for d in divisors:
+        acc = dict(lam[d])
+        for e in divisors:
+            if e < d and d % e == 0:
+                for x, v in primes[e].items():
+                    y = power(x, d // e)
+                    acc[y] = acc.get(y, 0) - e * v
+        assert all(v % d == 0 for v in acc.values()), "prime counts must be integers"
+        primes[d] = {x: v // d for x, v in acc.items() if v}
+    counts = primes.get(k, {})
+    return {r: counts.get(x, 0) for x, r in enumerate(residues)}
 
 
 def uniformity_report(f: Poly, k: int) -> UniformityReport:
@@ -156,12 +264,11 @@ def uniformity_report(f: Poly, k: int) -> UniformityReport:
     """
     if f.is_zero or f.is_constant:
         raise ValueError("modulus must have positive degree")
-    field = f.field
-    pi_k = pi_q(field.q, k)
+    counts = ap_prime_counts(f, k)
+    pi_k = pi_q(f.field.q, k)
     phi_f = euler_phi(f)
     expected = pi_k / phi_f
-    counts = [(r, pi_ap(APQuery(f, r, k))) for r in unit_residues(f)]
-    rows = tuple(UniformityRow(r, n, abs(n / expected - 1.0)) for r, n in counts)
+    rows = tuple(UniformityRow(r, n, abs(n / expected - 1.0)) for r, n in counts.items())
     max_dev = max((row.deviation for row in rows), default=0.0)
     in_range = len(f.coeffs) - 1 <= k - 4  # ||f|| <= q^{k-4}
     return UniformityReport(f, k, pi_k, phi_f, expected, rows, max_dev, in_range)

@@ -273,8 +273,9 @@ def powmod(f: Poly, n: int, mod: Poly) -> Poly:
     while n:
         if n & 1:
             result = (result * base) % mod
-        base = (base * base) % mod
         n >>= 1
+        if n:
+            base = (base * base) % mod
     return result
 
 

@@ -218,7 +218,12 @@ def u_set(field: Field) -> USet:
     if field.q % 2 == 0:
         raise ValueError("irreducible-trace sets require odd characteristic")
     members = [s for s in range(field.q) if _in_u_code(field, s)]
-    sums = {field.add(x, y) for x in members for y in members}
+    # each x + U adds about half the field, so stop as soon as it is covered
+    sums: set[int] = set()
+    for x in members:
+        sums.update(field.add(x, y) for y in members)
+        if len(sums) == field.q:
+            break
     return USet(field, tuple(members), len(sums) == field.q)
 
 

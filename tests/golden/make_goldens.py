@@ -6,6 +6,10 @@ Each case runs ``python -m ffsym.cli <argv>`` in a fresh process against the
 Regenerate only from a commit whose outputs are the reference:
 
     python tests/golden/make_goldens.py --src src --out tests/golden
+
+``selftest_seed42.json`` is the stdout of ``ffsym selftest --seed 42 --json``
+from such a commit.  It is not in the manifest, because the selftest takes
+about 30 s; CI compares it byte for byte.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ CASES = {
     "ext_membership_3e2": ["membership", "--q", "3^2", "--target", "AorAinf",
                            "--x", "t/t^2+[0,1]", "--samples", "4"],
     "ext_uniformity_3e2": ["uniformity", "--q", "3^2", "--f", "t+[0,1]", "--k", "3"],
+    # per-class prime counts: non-cyclic unit group, characteristic 2,
+    # a non-monic modulus
+    "uniformity_3_t2": ["uniformity", "--q", "3", "--f", "t^2", "--k", "5"],
+    "uniformity_5_t2p2": ["uniformity", "--q", "5", "--f", "t^2+2", "--k", "4"],
+    "ext_uniformity_2e2": ["uniformity", "--q", "2^2", "--f", "t^2+t", "--k", "4"],
+    "ap_primes_nonmonic": ["ap-primes", "--q", "3", "--f", "2*t^2+t", "--c", "t+1", "--k", "4"],
 }
 
 

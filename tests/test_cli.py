@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -129,9 +130,20 @@ def test_json_determinism(capsys):
     (["u-set", "--q", "2^17"], "MAX_Q"),
     (["u-set", "--q", "65537"], "MAX_Q"),
     (["symbol", "--alpha", "t^99999999", "--prime", "t+1"], "MAX_PARSED_DEGREE"),
-], ids=["criteria", "degree-max", "k", "samples", "q-3^40", "q-2^17", "q-65537", "alpha-degree"])
+    (["reciprocity-sweep", "--q", "257", "--degree-max", "1"], "MAX_SWEEP_PAIRS"),
+    (["reciprocity-sweep", "--degree-max", "1000000000"], "MAX_SWEEP_PAIRS"),
+    (["uniformity", "--f", "t", "--k", "100000"], "MAX_AP_WORK"),
+    (["uniformity", "--q", "13", "--f", "t^7+2", "--k", "8"], "MAX_AP_WORK"),
+    (["uniformity", "--f", "t^10000", "--k", "1"], "MAX_AP_WORK"),
+    (["ap-primes", "--f", "t", "--c", "1", "--k", "100000"], "MAX_AP_WORK"),
+    (["ap-primes", "--f", "t", "--c", "1", "--k", "100"], "MAX_AP_WORK"),
+], ids=["criteria", "degree-max", "k", "samples", "q-3^40", "q-2^17", "q-65537", "alpha-degree",
+        "sweep-q257", "sweep-degree", "uniformity-k", "uniformity-q13-deg7", "uniformity-deg",
+        "ap-primes-k", "ap-primes-search"])
 def test_out_of_range_input_exits_2(capsys, argv, named):
+    start = time.perf_counter()
     code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and named in err
 

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
@@ -12,10 +13,11 @@ from ffsym.dirichlet import (
     uniformity_report,
     unit_residues,
 )
-from ffsym.gf import field_make
+from ffsym.gf import field_make, parse_field_spec
 from ffsym.polyring import (
     Poly,
     enumerate_monic,
+    enumerate_residues,
     factor,
     gcd,
     is_irreducible,
@@ -78,16 +80,60 @@ def test_pi_ap_examples():
 
 def test_ap_class_sum_identity():
     # summing over unit classes misses exactly the degree-k primes dividing f
-    for field in (F3, F5):
-        for f_text in ("t", "t+1", "t^2"):
-            f = parse_poly(field, f_text)
-            divisor_primes = {p.coeffs for p, _ in factor(f)}
-            for k in range(1, 5):
-                total = sum(pi_ap(APQuery(f, c, k)) for c in unit_residues(f))
-                missing = sum(
-                    1 for p in monic_irreducibles(field, k) if p.coeffs in divisor_primes
-                )
-                assert total == pi_q(field.q, k) - missing
+    cases = [(field, f_text, k) for field in (F3, F5) for f_text in ("t", "t+1", "t^2")
+             for k in range(1, 5)]
+    cases += [(F13, "t", 8), (F13, "t^2+2", 6), (F13, "t^2+t", 6)]
+    for field, f_text, k in cases:
+        f = parse_poly(field, f_text)
+        total = sum(row.count for row in uniformity_report(f, k).rows)
+        missing = sum(1 for p, _ in factor(f) if p.degree == k)
+        assert total == pi_q(field.q, k) - missing
+
+
+def brute_ap_counts(f, k):
+    """Monic irreducibles of degree k binned by their residue mod f, by
+    enumeration and Rabin's test (the class mod f is the class mod monic(f))."""
+    counts = Counter()
+    if k >= 1:
+        for g in enumerate_monic(f.field, k):
+            if is_irreducible(g):
+                counts[g % f] += 1
+    return counts
+
+
+@pytest.mark.parametrize("q, f_text, k_max", [
+    ("3", "t^2", 6),  # G = (F_3[t]/t^2)^x is cyclic of order 6
+    ("3", "t^3", 6),  # non-cyclic unit groups from here on
+    ("3", "t^2+t", 6),
+    ("5", "2*t^2+4", 5),  # not monic
+    ("3^2", "t^2+[0,1]", 3),
+    ("2^2", "t^2+t", 5),
+    ("2", "t^3+t", 9),
+])
+def test_ap_counts_match_enumeration(q, f_text, k_max):
+    field = parse_field_spec(q)
+    f = parse_poly(field, f_text)
+    m = f.degree
+    units = [r for r in enumerate_residues(field, m) if gcd(r, f).degree == 0]
+    shift = Poly.t(field) * f  # a representative of each class outside its reduced form
+    for k in range(0, k_max + 1):  # k = 0 and k < deg f included
+        brute = brute_ap_counts(f, k)
+        if k >= 1:
+            rows = uniformity_report(f, k).rows
+            assert [row.residue for row in rows] == units
+            assert [row.count for row in rows] == [brute[c] for c in units]
+        for c in units:
+            assert pi_ap(APQuery(f, c + shift, k)) == brute[c]
+
+
+def test_pi_ap_constant_modulus_and_degree_zero():
+    for field in (F3, field_make(2, 2)):
+        for f in (Poly.one(field), Poly.constant(field, field.q - 1)):
+            for k in range(0, 5):
+                for c in (Poly.one(field), Poly.t(field)):
+                    expected = pi_q(field.q, k) if k else 0
+                    assert pi_ap(APQuery(f, c, k)) == expected
+    assert pi_ap(APQuery(parse_poly(F5, "t^2+2"), Poly.one(F5), 0)) == 0
 
 
 def test_find_prime_examples():

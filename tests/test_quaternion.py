@@ -217,6 +217,22 @@ def test_u_set_examples():
         u_set(field_make(2))
 
 
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (7, 1), (13, 1), (257, 1), (5, 2)])
+def test_u_set_matches_full_sumset(p, e):
+    # the sumset loop stops once U + U covers the field; the reference forms
+    # every sum and tests each member directly by the discriminant
+    field = field_make(p, e)
+    four = field.elem(4).code
+    members = tuple(
+        s for s in range(field.q)
+        if (d := field.sub(field.mul(s, s), four)) and not field.is_square_code(d)
+    )
+    sums = {field.add(x, y) for x in members for y in members}
+    us = u_set(field)
+    assert us.members == members
+    assert us.sumset_covers == (len(sums) == field.q)
+
+
 def test_in_u_residue_matches_u_set():
     # at a degree-1 place the residue field is F_q itself
     prime = Poly.t(F13)
