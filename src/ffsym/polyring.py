@@ -292,6 +292,41 @@ def power_character(r: Poly, prime: Poly, n: int = 2) -> int:
     return s.coeffs[0]
 
 
+def poly_index(coeffs: Sequence[int], q: int, width: int) -> int:
+    """Position of the residue with these coefficients in
+    enumerate_residues(field, width): base q, constant term most significant.
+    Coefficients from position width on are ignored."""
+    idx = 0
+    for i in range(width):
+        idx = idx * q + (coeffs[i] if i < len(coeffs) else 0)
+    return idx
+
+
+def character_table(prime: Poly, n: int = 2) -> list[int]:
+    """power_character(r, prime, n) for every residue r mod P, in
+    enumerate_residues order.
+
+    Walks the powers of the smallest residue g of order q^deg P - 1: with
+    zeta = power_character(g, P, n), g^i has character zeta^i, so each
+    residue costs one multiplication mod P instead of one powmod.
+    """
+    field = prime.field
+    q, d = field.q, len(prime.coeffs) - 1
+    order = q ** d - 1
+    one = Poly.one(field)
+    primes = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    g = next(r for r in enumerate_residues(field, d)
+             if r.coeffs and all(powmod(r, order // ell, prime) != one for ell in primes))
+    zeta = power_character(g, prime, n)
+    table = [0] * (order + 1)
+    x, z = one, field.one_code
+    for _ in range(order):
+        table[poly_index(x.coeffs, q, d)] = z
+        x = (x * g) % prime
+        z = field.mul(z, zeta)
+    return table
+
+
 # --- irreducibility and factorization ---
 
 
@@ -457,12 +492,64 @@ def enumerate_residues(field: Field, k: int) -> Iterator[Poly]:
         yield Poly(field, cs, trusted=True)
 
 
+class MonicSieve:
+    """Eratosthenes over the monics of degree <= max_deg.
+
+    The monic of degree k with coefficients c has index
+    (q^k - 1)/(q - 1) + poly_index(c, q, k): one block per degree, each in
+    enumerate_monic order, so monics[h] is the monic of index h and index 0
+    is the monic 1.  least[h] is the index of a least-degree prime factor of
+    monic h (h itself for a prime, 0 for the monic 1) and cofactor[h] the
+    index of monic h / least[h].
+    """
+
+    __slots__ = ("monics", "least", "cofactor")
+
+    def __init__(self, field: Field, max_deg: int):
+        q = field.q
+        monics = [Poly.one(field)]
+        for k in range(1, max_deg + 1):
+            monics.extend(enumerate_monic(field, k))
+        start = [(q ** k - 1) // (q - 1) for k in range(max_deg + 2)]
+        least = [0] * len(monics)
+        cofactor = [0] * len(monics)
+        for h in range(1, len(monics)):
+            if least[h]:
+                continue
+            least[h] = h
+            prime = monics[h]
+            k = len(prime.coeffs) - 1
+            # mark P g only for deg g >= deg P: a composite's cofactor by a
+            # least-degree prime factor has no prime factor of lower degree
+            for g in range(start[k], start[max_deg - k + 1]):
+                prod = (prime * monics[g]).coeffs
+                m = start[len(prod) - 1] + poly_index(prod, q, len(prod) - 1)
+                if not least[m]:
+                    least[m] = h
+                    cofactor[m] = g
+        self.monics = monics
+        self.least = least
+        self.cofactor = cofactor
+
+    def factor_indices(self, h: int) -> tuple[tuple[int, int], ...]:
+        """The monic prime factors of monics[h] as (index, multiplicity),
+        read off the chain of cofactors in order of nondecreasing degree."""
+        out: dict[int, int] = {}
+        while h:
+            prime = self.least[h]
+            out[prime] = out.get(prime, 0) + 1
+            h = self.cofactor[h]
+        return tuple(out.items())
+
+
 @lru_cache(maxsize=None)
 def monic_irreducibles(field: Field, k: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree k, enumeration order."""
+    """All monic irreducibles of degree k, enumeration order, from a sieve."""
     if k < 1:
         return ()
-    return tuple(f for f in enumerate_monic(field, k) if is_irreducible(f))
+    sieve = MonicSieve(field, k)
+    first = (field.q ** k - 1) // (field.q - 1)
+    return tuple(sieve.monics[h] for h in range(first, len(sieve.monics)) if sieve.least[h] == h)
 
 
 def random_poly(

@@ -9,7 +9,11 @@ Regenerate only from a commit whose outputs are the reference:
 
 ``selftest_seed42.json`` is the stdout of ``ffsym selftest --seed 42 --json``
 from such a commit.  It is not in the manifest, because the selftest takes
-about 30 s; CI compares it byte for byte.
+about 30 s; CI compares it byte for byte.  For the same reason
+``reciprocity_sweep_7_3.json``, the stdout of
+``ffsym reciprocity-sweep --q 7 --degree-max 3 --json`` (the largest sweep
+under ``symbols.MAX_SWEEP_PAIRS``), stays out of the manifest and is
+compared in CI.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ CASES = {
     "uniformity_5_t2p2": ["uniformity", "--q", "5", "--f", "t^2+2", "--k", "4"],
     "ext_uniformity_2e2": ["uniformity", "--q", "2^2", "--f", "t^2+t", "--k", "4"],
     "ap_primes_nonmonic": ["ap-primes", "--q", "3", "--f", "2*t^2+t", "--c", "t+1", "--k", "4"],
+    # sweeps of higher symbol order, and the degree-0 edge case
+    "reciprocity_sweep_5_n4": ["reciprocity-sweep", "--q", "5", "--degree-max", "2", "--n", "4"],
+    "reciprocity_sweep_7_n3": ["reciprocity-sweep", "--q", "7", "--degree-max", "2", "--n", "3"],
+    "reciprocity_sweep_13_n4": ["reciprocity-sweep", "--q", "13", "--degree-max", "1", "--n", "4"],
+    "ext_reciprocity_sweep_3e2_n8": ["reciprocity-sweep", "--q", "3^2", "--degree-max", "2",
+                                     "--n", "8"],
+    "reciprocity_sweep_degree0": ["reciprocity-sweep", "--q", "5", "--degree-max", "0"],
 }
 
 

@@ -6,7 +6,9 @@ from ffsym.dirichlet import pi_q
 from ffsym.gf import field_make
 from ffsym.polyring import (
     NEG_INF,
+    MonicSieve,
     Poly,
+    character_table,
     enumerate_monic,
     enumerate_residues,
     factor,
@@ -16,6 +18,7 @@ from ffsym.polyring import (
     is_irreducible,
     monic_irreducibles,
     parse_poly,
+    poly_index,
     power_character,
     powmod,
     random_poly,
@@ -174,6 +177,55 @@ def test_irreducible_counts_match_mobius():
     for field in (F3, F5):
         for k in range(1, 7):
             assert len(monic_irreducibles(field, k)) == pi_q(field.q, k)
+
+
+@pytest.mark.parametrize("q, e, max_deg", [(2, 1, 6), (3, 1, 6), (2, 2, 4), (5, 1, 4), (3, 2, 4)])
+def test_sieve_primes_match_rabin(q, e, max_deg):
+    # monic_irreducibles reads the sieve; Rabin's test is the oracle
+    field = field_make(q, e)
+    for k in range(1, max_deg + 1):
+        rabin = tuple(f for f in enumerate_monic(field, k) if is_irreducible(f))
+        assert monic_irreducibles(field, k) == rabin
+
+
+@pytest.mark.parametrize("q, e, max_deg", [(3, 1, 4), (5, 1, 3), (3, 2, 3), (2, 3, 3)])
+def test_sieve_factorizations_match_factor(q, e, max_deg):
+    # one block per degree in enumerate_monic order, indexed by base-q code
+    field = field_make(q, e)
+    sieve = MonicSieve(field, max_deg)
+    monics = [f for k in range(max_deg + 1) for f in enumerate_monic(field, k)]
+    assert sieve.monics == monics
+    for h, f in enumerate(monics):
+        k = len(f.coeffs) - 1
+        assert h == (field.q ** k - 1) // (field.q - 1) + poly_index(f.coeffs, field.q, k)
+        got = sieve.factor_indices(h)
+        expected = factor(f).factors
+        assert sorted(((monics[i], m) for i, m in got), key=lambda fm: fm[0].sort_key()) == list(expected)
+        if h:
+            least = monics[sieve.least[h]]
+            assert least.degree == min(prime.degree for prime, _ in expected)
+            assert least * monics[sieve.cofactor[h]] == f
+
+
+@pytest.mark.parametrize("q, e, orders", [(3, 1, (2,)), (5, 1, (2, 4)), (7, 1, (3, 6)),
+                                           (13, 1, (4,)), (3, 2, (2, 4, 8)), (2, 3, (7,))],
+                         ids=["F3", "F5", "F7", "F13", "F9", "F8"])
+def test_character_table_matches_power_character(q, e, orders):
+    # every prime of degree <= 3 with q^d <= 200; above that (up to 2,500
+    # residues) the first, the last and two seeded primes of each degree,
+    # since all 728 cubics over F_13 would take minutes per residue
+    field = field_make(q, e)
+    rng = Random(5)
+    for d in range(1, 4):
+        if field.q ** d > 2500:
+            continue
+        primes = monic_irreducibles(field, d)
+        if field.q ** d > 200:
+            primes = (primes[0], primes[-1]) + tuple(rng.sample(primes[1:-1], 2))
+        for prime in primes:
+            for n in orders:
+                expected = [power_character(r, prime, n) for r in enumerate_residues(field, d)]
+                assert character_table(prime, n) == expected
 
 
 def test_powmod_matches_naive():

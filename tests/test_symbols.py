@@ -16,7 +16,7 @@ from ffsym.places import (
     support,
     valuation,
 )
-from ffsym.polyring import Poly, enumerate_monic, gcd, monic_irreducibles, parse_poly, random_poly
+from ffsym.polyring import MonicSieve, Poly, enumerate_monic, gcd, monic_irreducibles, parse_poly, random_poly
 from ffsym.symbols import (
     SymbolValue,
     check_general_reciprocity,
@@ -273,6 +273,19 @@ def test_local_square_iff_trivial_pairing():
             both_one = (local_symbol(x, uniformizer, pl).sign == 1
                         and local_symbol(x, unit, pl).sign == 1)
             assert is_square_local(x, pl) == both_one
+
+
+def test_reciprocity_sweep_degree_zero():
+    # constants only: every pair is coprime, and the sieve holds only the monic 1
+    for field in (F3, F5, field_make(3, 2)):
+        res = reciprocity_sweep(field, 0)
+        units = field.q - 1
+        assert (res.pairs_total, res.pairs_coprime) == (units ** 2, units ** 2)
+        assert res.passed
+    sieve = MonicSieve(F5, 0)
+    assert (sieve.monics, sieve.least, sieve.cofactor) == ([Poly.one(F5)], [0], [0])
+    assert sieve.factor_indices(0) == ()
+    assert monic_irreducibles(F5, 0) == ()
 
 
 def test_reciprocity_sweep_higher_orders():
