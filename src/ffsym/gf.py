@@ -184,17 +184,6 @@ class Field:
             raise ValueError("square test by log parity requires odd q")
         return self._log[a] % 2 == 0
 
-    def sqrt_code(self, a: int) -> int | None:
-        """A square root of a, or None.  Not part of the symbol contracts."""
-        if a == 0:
-            return 0
-        k = self._log[a]
-        if k % 2:
-            if self.q % 2:
-                return None
-            k += self.q - 1  # odd group order: every element is a square
-        return self._exp[k // 2]
-
     # --- construction / presentation ---
 
     def elem(self, value: Union[int, "FieldElem", Sequence[int]]) -> "FieldElem":

@@ -156,17 +156,6 @@ def test_square_structure(p, e):
             )
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (2, 3), (2, 4)])
-def test_sqrt_code(p, e):
-    field = field_make(p, e)
-    for a in range(field.q):
-        r = field.sqrt_code(a)
-        if field.q % 2 == 0 or field.is_square_code(a):  # even q: all squares
-            assert r is not None and field.mul(r, r) == a
-        else:
-            assert r is None
-
-
 def test_smallest_nonsquare():
     assert smallest_nonsquare(field_make(3)).code == 2
     assert smallest_nonsquare(field_make(5)).code == 2

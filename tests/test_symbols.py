@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,9 +18,21 @@ from ffsym.places import (
     support,
     valuation,
 )
-from ffsym.polyring import MonicSieve, Poly, enumerate_monic, gcd, monic_irreducibles, parse_poly, random_poly
+from ffsym import symbols
+from ffsym.polyring import (
+    MonicSieve,
+    Poly,
+    character_table,
+    enumerate_monic,
+    gcd,
+    monic_irreducibles,
+    parse_poly,
+    poly_index,
+    random_poly,
+)
 from ffsym.symbols import (
     SymbolValue,
+    _residue_walk,
     check_general_reciprocity,
     hilbert_product,
     local_symbol,
@@ -31,6 +45,7 @@ from ffsym.symbols import (
 F3 = field_make(3)
 F5 = field_make(5)
 F7 = field_make(7)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_symbol_value_semantics():
@@ -145,17 +160,45 @@ def test_reciprocity_exhaustive_small():
 
 
 def test_sweep_matches_direct_check():
-    # the batched sweep must agree with the one-pair implementation
-    rng = Random(77)
-    for field in (F3, F5, field_make(3, 2)):
-        count = 0
-        while count < 60:
-            a = random_poly(field, rng, 3, nonzero=True)
-            b = random_poly(field, rng, 3, nonzero=True)
-            if gcd(a, b).degree != 0:
-                continue
-            count += 1
+    # the batched sweep against the one-pair implementation: its coprime
+    # count against gcd over every ordered pair, and its empty violation list
+    # against check_general_reciprocity on every coprime pair (60 seeded
+    # pairs over F_9)
+    for field, max_deg in ((F3, 2), (F5, 1), (field_make(3, 2), 1)):
+        res = reciprocity_sweep(field, max_deg)
+        polys = [f.scale(a) for k in range(max_deg + 1) for f in enumerate_monic(field, k)
+                 for a in range(1, field.q)]
+        coprime = [(a, b) for a in polys for b in polys if gcd(a, b).degree == 0]
+        assert res.pairs_total == len(polys) ** 2
+        assert res.pairs_coprime == len(coprime)
+        assert res.violations == ()
+        if not field.is_prime_field:
+            coprime = Random(77).sample(coprime, 60)
+        for a, b in coprime:
             assert check_general_reciprocity(a, b).passed
+
+
+def test_residue_walk_matches_division():
+    # the residue of every monic mod every prime, walked in sieve order
+    for field, max_deg in ((F3, 4), (F7, 2), (field_make(3, 2), 2), (field_make(2, 3), 2)):
+        sieve = MonicSieve(field, max_deg)
+        for prime in (f for h, f in enumerate(sieve.monics) if h and sieve.least[h] == h):
+            d = len(prime.coeffs) - 1
+            assert _residue_walk(prime, max_deg) == [
+                poly_index((f % prime).coeffs, field.q, d) for f in sieve.monics]
+
+
+def test_sweep_violations_match_fixture():
+    # one corrupted character-table entry: the enumeration of the failing
+    # blocks must list the same violations, in the same order, as the fixture
+    spec = importlib.util.spec_from_file_location(
+        "make_violation_golden", GOLDEN / "make_violation_golden.py")
+    maker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(maker)
+    cases = maker.violation_cases(symbols)
+    assert [len(rows) for rows in cases.values()] == [48, 16, 256, 64, 128]
+    assert maker.dumps(cases) == (GOLDEN / "sweep_violations.json").read_text()
+    assert symbols.character_table is character_table
 
 
 def test_local_symbol_examples():
