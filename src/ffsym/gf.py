@@ -259,11 +259,6 @@ class FieldElem:
         self.field = field
         self.code = code
 
-    @property
-    def rep(self) -> tuple[int, ...]:
-        """Coefficient vector over [0, p), length e."""
-        return tuple(self.field._decode(self.code))
-
     def _coerce(self, other: Union["FieldElem", int]) -> "FieldElem":
         if isinstance(other, FieldElem):
             if other.field is not self.field and other.field != self.field:
@@ -305,10 +300,6 @@ class FieldElem:
 
     def inverse(self) -> "FieldElem":
         return FieldElem(self.field, self.field.inv(self.code))
-
-    def is_square(self) -> bool:
-        """True iff the element is 0 or a square; rejects even q otherwise."""
-        return self.field.is_square_code(self.code)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

@@ -265,18 +265,75 @@ def invmod(f: Poly, mod: Poly) -> Poly:
     return u % mod
 
 
+def _reduction(mod: Poly) -> list[int]:
+    """red with t^d = sum red[k] t^k mod P, d = deg P: the negated low
+    coefficients of P scaled to monic."""
+    field = mod.field
+    inv = field.inv(mod.lead_code)
+    return [field.neg(field.mul(c, inv)) for c in mod.coeffs[:-1]]
+
+
+def _reduce_codes(prod: list[int], red: list[int], field: Field) -> list[int]:
+    """prod mod P as len(red) codes, folding coefficients down from the top
+    with t^d = sum red[k] t^k.  prod is overwritten; in a prime field its
+    entries may be any ints, each reduced mod p once."""
+    d = len(red)
+    if field.is_prime_field:
+        p = field.p
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k] % p
+            if c:
+                for i, r in enumerate(red, k - d):
+                    prod[i] += c * r
+        return [c % p for c in prod[:d]]
+    add, mul = field.add, field.mul
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        if c:
+            for i, r in enumerate(red, k - d):
+                prod[i] = add(prod[i], mul(c, r))
+    return prod[:d]
+
+
+def _mulmod_codes(x: list[int], y: list[int], red: list[int], field: Field) -> list[int]:
+    """x y mod P on code lists of length at most d = deg P, with
+    red = _reduction(P); the result has length d."""
+    prod = [0] * (2 * len(red) - 1)
+    ys = [(j, c) for j, c in enumerate(y) if c]
+    if field.is_prime_field:
+        for i, c in enumerate(x):
+            if c:
+                for j, b in ys:
+                    prod[i + j] += c * b
+    else:
+        add, mul = field.add, field.mul
+        for i, c in enumerate(x):
+            if c:
+                for j, b in ys:
+                    prod[i + j] = add(prod[i + j], mul(c, b))
+    return _reduce_codes(prod, red, field)
+
+
 def powmod(f: Poly, n: int, mod: Poly) -> Poly:
     if n < 0:
         return powmod(invmod(f, mod), -n, mod)
-    result = Poly.one(f.field)
-    base = f % mod
+    field = f.field
+    base = list((f % mod).coeffs)
+    d = len(mod.coeffs) - 1
+    if d <= 1:  # every residue is a constant
+        code = field.pow_(base[0] if base else 0, n)
+        return Poly(field, (code,) if code else (), trusted=True)
+    red = _reduction(mod)
+    result = [field.one_code] + [0] * (d - 1)
     while n:
         if n & 1:
-            result = (result * base) % mod
+            result = _mulmod_codes(result, base, red, field)
         n >>= 1
         if n:
-            base = (base * base) % mod
-    return result
+            base = _mulmod_codes(base, base, red, field)
+    while result and result[-1] == 0:
+        result.pop()
+    return Poly(field, result, trusted=True)
 
 
 def power_character(r: Poly, prime: Poly, n: int = 2) -> int:
@@ -318,11 +375,12 @@ def character_table(prime: Poly, n: int = 2) -> list[int]:
     g = next(r for r in enumerate_residues(field, d)
              if r.coeffs and all(powmod(r, order // ell, prime) != one for ell in primes))
     zeta = power_character(g, prime, n)
+    red = _reduction(prime)
     table = [0] * (order + 1)
-    x, z = one, field.one_code
+    x, z = [field.one_code] + [0] * (d - 1), field.one_code
     for _ in range(order):
-        table[poly_index(x.coeffs, q, d)] = z
-        x = (x * g) % prime
+        table[poly_index(x, q, d)] = z
+        x = _mulmod_codes(x, g.coeffs, red, field)
         z = field.mul(z, zeta)
     return table
 

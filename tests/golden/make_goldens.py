@@ -59,6 +59,8 @@ CASES = {
     "uniformity_5_t2p2": ["uniformity", "--q", "5", "--f", "t^2+2", "--k", "4"],
     "ext_uniformity_2e2": ["uniformity", "--q", "2^2", "--f", "t^2+t", "--k", "4"],
     "ap_primes_nonmonic": ["ap-primes", "--q", "3", "--f", "2*t^2+t", "--c", "t+1", "--k", "4"],
+    # a degree-1 modulus over q > 256: every residue power is a constant power
+    "uniformity_257_t": ["uniformity", "--q", "257", "--f", "t", "--k", "3"],
     # sweeps of higher symbol order, and the degree-0 edge case
     "reciprocity_sweep_5_n4": ["reciprocity-sweep", "--q", "5", "--degree-max", "2", "--n", "4"],
     "reciprocity_sweep_7_n3": ["reciprocity-sweep", "--q", "7", "--degree-max", "2", "--n", "3"],

@@ -208,8 +208,9 @@ def test_sieve_factorizations_match_factor(q, e, max_deg):
 
 
 @pytest.mark.parametrize("q, e, orders", [(3, 1, (2,)), (5, 1, (2, 4)), (7, 1, (3, 6)),
-                                           (13, 1, (4,)), (3, 2, (2, 4, 8)), (2, 3, (7,))],
-                         ids=["F3", "F5", "F7", "F13", "F9", "F8"])
+                                           (13, 1, (4,)), (3, 2, (2, 4, 8)), (2, 3, (7,)),
+                                           (257, 1, (2,))],
+                         ids=["F3", "F5", "F7", "F13", "F9", "F8", "F257"])
 def test_character_table_matches_power_character(q, e, orders):
     # every prime of degree <= 3 with q^d <= 200; above that (up to 2,500
     # residues) the first, the last and two seeded primes of each degree,
@@ -229,12 +230,29 @@ def test_character_table_matches_power_character(q, e, orders):
 
 
 def test_powmod_matches_naive():
-    rng = Random(7)
-    mod = parse_poly(F5, "t^3+t+1")
-    for _ in range(20):
-        f = random_poly(F5, rng, 2, nonzero=True)
-        n = rng.randint(0, 50)
-        assert powmod(f, n, mod) == (f ** n) % mod
+    # prime, extension, characteristic-2 and q > 256 fields; moduli of degree
+    # 0 to 4, each monic and scaled by the code 2, against (f ** n) % mod;
+    # negative n against powers of invmod(f, mod)
+    for p, e in [(5, 1), (3, 1), (257, 1), (3, 2), (2, 3), (5, 4)]:
+        field = field_make(p, e)
+        rng = Random(f"powmod:{p}^{e}")
+        for deg in range(5):
+            monic = random_poly(field, rng, deg, monic=True, exact_deg=True)
+            for mod in (monic, monic.scale(2)):
+                for _ in range(6):
+                    f = random_poly(field, rng, 4)
+                    n = rng.randint(1, 40)
+                    assert powmod(f, 0, mod) == Poly.one(field)
+                    assert powmod(f, n, mod) == (f ** n) % mod
+                    try:
+                        inverse = invmod(f, mod)
+                    except ZeroDivisionError:
+                        with pytest.raises(ZeroDivisionError):
+                            powmod(f, -n, mod)
+                    else:
+                        assert powmod(f, -n, mod) == (inverse ** n) % mod
+        with pytest.raises(ZeroDivisionError):
+            powmod(Poly.t(field), 3, Poly.zero(field))
 
 
 def test_text_grammar_roundtrip():
