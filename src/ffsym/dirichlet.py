@@ -144,11 +144,13 @@ class UniformityReport:
 
 
 def unit_residues(f: Poly) -> list[Poly]:
-    """All residues mod f coprime to f (degree < deg f): those that no prime
-    factor of f divides."""
-    primes = [prime for prime, _ in factor(f)]
-    residues = enumerate_residues(f.field, len(f.coeffs) - 1)
-    return [r for r in residues if all(not (r % prime).is_zero for prime in primes)]
+    """All residues mod f coprime to f (degree < deg f), in
+    enumerate_residues order: those that are no multiple P g
+    (deg g < deg f - deg P) of a prime factor P of f."""
+    field, m = f.field, len(f.coeffs) - 1
+    multiples = {(prime * g).coeffs for prime, _ in factor(f)
+                 for g in enumerate_residues(field, m - len(prime.coeffs) + 1)}
+    return [r for r in enumerate_residues(field, m) if r.coeffs not in multiples]
 
 
 # largest estimated cost of a prime count or a prime search, in table

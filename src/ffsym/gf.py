@@ -20,19 +20,24 @@ from typing import Sequence, Union
 MAX_Q = 2 ** 16
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality check for word-sized n."""
-    if n < 2:
-        return False
-    for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % d == 0:
-            return n == d
-    d = 37
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality check for word-sized n."""
+    return n >= 2 and prime_divisors(n) == [n]
 
 
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
@@ -76,11 +81,11 @@ class Field:
         # _exp[k] = g^k for 0 <= k < 2(q-1): doubled, so a sum of two logs
         # indexes it directly.  _log[0] = -1 stands for the log of zero.
         p, q, n = self.p, self.q, self.q - 1
-        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        primes = prime_divisors(n)
         g = next(c for c in range(1, q) if all(self._pow_slow(c, n // r) != 1 for r in primes))
         exp = [1]
         for _ in range(n - 1):
-            exp.append(self._mul_slow(exp[-1], g))
+            exp.append(exp[-1] * g % p if self.is_prime_field else self._mul_slow(exp[-1], g))
         self._exp = exp + exp
         self._log = [-1] * q
         for k, code in enumerate(exp):

@@ -15,7 +15,7 @@ from functools import lru_cache
 from random import Random
 from typing import Iterator, Sequence, Union
 
-from .gf import Field, FieldElem, is_prime
+from .gf import Field, FieldElem, prime_divisors
 
 NEG_INF = float("-inf")
 
@@ -126,23 +126,10 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         fa = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(fa)
-        out = [0] * (len(a) + len(b) - 1)
+        out = _mul_codes(self.coeffs, other.coeffs, fa)
         if fa.is_prime_field:
             p = fa.p
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
             out = [c % p for c in out]
-        else:
-            mul, add = fa.mul, fa.add
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = add(out[i + j], mul(ai, bj))
         return Poly(fa, out, trusted=True)
 
     def scale(self, code: int) -> "Poly":
@@ -172,24 +159,14 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         fa = self.field
-        a = list(self.coeffs)
-        b = other.coeffs
-        db = len(b) - 1
-        if len(a) - 1 < db:
+        d = len(other.coeffs) - 1
+        if len(self.coeffs) <= d:
             return Poly.zero(fa), self
-        binv = fa.inv(b[-1])
-        quot = [0] * (len(a) - db)
-        mul, sub = fa.mul, fa.sub
-        while len(a) - 1 >= db and a:
-            k = len(a) - 1 - db
-            c = mul(a[-1], binv)
-            quot[k] = c
-            if c:
-                for i in range(db + 1):
-                    a[k + i] = sub(a[k + i], mul(c, b[i]))
-            while a and a[-1] == 0:
-                a.pop()
-        return Poly(fa, quot, trusted=True), Poly(fa, a, trusted=True)
+        prod = list(self.coeffs)
+        rem = _reduce_codes(prod, _reduction(other), fa)
+        while rem and rem[-1] == 0:
+            rem.pop()
+        return Poly(fa, prod[d:], trusted=True), Poly(fa, rem, trusted=True)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -265,40 +242,12 @@ def invmod(f: Poly, mod: Poly) -> Poly:
     return u % mod
 
 
-def _reduction(mod: Poly) -> list[int]:
-    """red with t^d = sum red[k] t^k mod P, d = deg P: the negated low
-    coefficients of P scaled to monic."""
-    field = mod.field
-    inv = field.inv(mod.lead_code)
-    return [field.neg(field.mul(c, inv)) for c in mod.coeffs[:-1]]
-
-
-def _reduce_codes(prod: list[int], red: list[int], field: Field) -> list[int]:
-    """prod mod P as len(red) codes, folding coefficients down from the top
-    with t^d = sum red[k] t^k.  prod is overwritten; in a prime field its
-    entries may be any ints, each reduced mod p once."""
-    d = len(red)
-    if field.is_prime_field:
-        p = field.p
-        for k in range(len(prod) - 1, d - 1, -1):
-            c = prod[k] % p
-            if c:
-                for i, r in enumerate(red, k - d):
-                    prod[i] += c * r
-        return [c % p for c in prod[:d]]
-    add, mul = field.add, field.mul
-    for k in range(len(prod) - 1, d - 1, -1):
-        c = prod[k]
-        if c:
-            for i, r in enumerate(red, k - d):
-                prod[i] = add(prod[i], mul(c, r))
-    return prod[:d]
-
-
-def _mulmod_codes(x: list[int], y: list[int], red: list[int], field: Field) -> list[int]:
-    """x y mod P on code lists of length at most d = deg P, with
-    red = _reduction(P); the result has length d."""
-    prod = [0] * (2 * len(red) - 1)
+def _mul_codes(x: Sequence[int], y: Sequence[int], field: Field) -> list[int]:
+    """The schoolbook product of two code lists; in a prime field its
+    entries are unreduced ints."""
+    if not x or not y:
+        return []
+    prod = [0] * (len(x) + len(y) - 1)
     ys = [(j, c) for j, c in enumerate(y) if c]
     if field.is_prime_field:
         for i, c in enumerate(x):
@@ -311,7 +260,40 @@ def _mulmod_codes(x: list[int], y: list[int], red: list[int], field: Field) -> l
             if c:
                 for j, b in ys:
                     prod[i + j] = add(prod[i + j], mul(c, b))
-    return _reduce_codes(prod, red, field)
+    return prod
+
+
+def _reduction(mod: Poly) -> tuple[tuple[int, ...], int]:
+    """(low, inv) for _reduce_codes: the coefficients of P below the
+    leading one, and the inverse of the leading one."""
+    return mod.coeffs[:-1], mod.field.inv(mod.lead_code)
+
+
+def _reduce_codes(prod: list[int], red: tuple[Sequence[int], int], field: Field) -> list[int]:
+    """Long division of prod by P from the top, with red = _reduction(P):
+    returns the d = deg P remainder codes, and leaves the quotient digits in
+    prod[d:].  In a prime field the entries of prod may be any ints, each
+    reduced mod p once."""
+    low, inv = red
+    d = len(low)
+    if field.is_prime_field:
+        p = field.p
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k] * inv % p
+            prod[k] = c
+            if c:
+                for i, b in enumerate(low, k - d):
+                    prod[i] -= c * b
+        return [c % p for c in prod[:d]]
+    add, mul, neg = field.add, field.mul, field.neg
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = mul(prod[k], inv)
+        prod[k] = c
+        if c:
+            c = neg(c)
+            for i, b in enumerate(low, k - d):
+                prod[i] = add(prod[i], mul(c, b))
+    return prod[:d]
 
 
 def powmod(f: Poly, n: int, mod: Poly) -> Poly:
@@ -324,13 +306,13 @@ def powmod(f: Poly, n: int, mod: Poly) -> Poly:
         code = field.pow_(base[0] if base else 0, n)
         return Poly(field, (code,) if code else (), trusted=True)
     red = _reduction(mod)
-    result = [field.one_code] + [0] * (d - 1)
+    result = [field.one_code]
     while n:
         if n & 1:
-            result = _mulmod_codes(result, base, red, field)
+            result = _reduce_codes(_mul_codes(result, base, field), red, field)
         n >>= 1
         if n:
-            base = _mulmod_codes(base, base, red, field)
+            base = _reduce_codes(_mul_codes(base, base, field), red, field)
     while result and result[-1] == 0:
         result.pop()
     return Poly(field, result, trusted=True)
@@ -371,16 +353,16 @@ def character_table(prime: Poly, n: int = 2) -> list[int]:
     q, d = field.q, len(prime.coeffs) - 1
     order = q ** d - 1
     one = Poly.one(field)
-    primes = [r for r in range(2, order + 1) if order % r == 0 and is_prime(r)]
+    primes = prime_divisors(order)
     g = next(r for r in enumerate_residues(field, d)
              if r.coeffs and all(powmod(r, order // ell, prime) != one for ell in primes))
     zeta = power_character(g, prime, n)
     red = _reduction(prime)
     table = [0] * (order + 1)
-    x, z = [field.one_code] + [0] * (d - 1), field.one_code
+    x, z = [field.one_code], field.one_code
     for _ in range(order):
         table[poly_index(x, q, d)] = z
-        x = _mulmod_codes(x, g.coeffs, red, field)
+        x = _reduce_codes(_mul_codes(x, g.coeffs, field), red, field)
         z = field.mul(z, zeta)
     return table
 
@@ -398,7 +380,7 @@ def is_irreducible(f: Poly) -> bool:
         return True
     q = f.field.q
     x = Poly.t(f.field)
-    for ell in sorted({d for d in range(2, m + 1) if m % d == 0 and is_prime(d)}):
+    for ell in prime_divisors(m):
         if gcd(powmod(x, q ** (m // ell), f) - x, f).degree != 0:
             return False
     return (powmod(x, q ** m, f) - x).is_zero

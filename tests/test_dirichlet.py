@@ -47,8 +47,10 @@ def test_euler_phi_matches_unit_enumeration():
             f = random_poly(field, rng, 4, nonzero=True)
             if f.is_constant or field.q ** (len(f.coeffs) - 1) > 10_000:
                 continue
-            direct = len(unit_residues(f))
-            assert euler_phi(f) == direct
+            units = unit_residues(f)
+            residues = enumerate_residues(field, len(f.coeffs) - 1)
+            assert units == [r for r in residues if gcd(r, f) == Poly.one(field)]
+            assert euler_phi(f) == len(units)
 
 
 def test_pi_q_examples():

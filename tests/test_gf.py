@@ -20,6 +20,17 @@ def test_field_make_examples():
     assert f2.q == 2
 
 
+def test_prime_divisors_matches_brute_force():
+    def brute(n):
+        return [r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))]
+
+    for n in range(1, 2001):
+        assert gf.prime_divisors(n) == brute(n)
+    for p, d in [(7, 3), (257, 2), (2, 16)]:
+        assert gf.prime_divisors(p ** d - 1) == brute(p ** d - 1)
+    assert [n for n in range(2001) if gf.is_prime(n)] == [n for n in range(2001) if brute(n) == [n]]
+
+
 def test_field_make_errors():
     with pytest.raises(ValueError):
         field_make(4)

@@ -17,6 +17,7 @@ from ffsym import (
     hilbert_product,
     is_irreducible,
     local_symbol,
+    powmod,
     random_poly,
     support,
     xgcd,
@@ -53,6 +54,55 @@ def test_divmod_and_xgcd_invariants(p, e):
         d, u, v = xgcd(a, b)
         assert u * a + v * b == d and d == gcd(a, b) and d.is_monic
         assert (a % d).is_zero and (b % d).is_zero
+
+
+def _trim(codes):
+    codes = list(codes)
+    while codes and codes[-1] == 0:
+        codes.pop()
+    return codes
+
+
+def _school_mul(a, b, field):
+    # an oracle independent of polyring: Field.add and Field.mul only
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return _trim(out)
+
+
+def _long_div(a, b, field):
+    # (quotient, remainder) codes by Field.sub, Field.mul and Field.inv only
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv = field.inv(b[-1])
+    for k in range(len(a) - len(b), -1, -1):
+        c = quo[k] = field.mul(rem[k + len(b) - 1], inv)
+        for i, y in enumerate(b):
+            rem[k + i] = field.sub(rem[k + i], field.mul(c, y))
+    return _trim(quo), _trim(rem[:len(b) - 1])
+
+
+@pytest.mark.parametrize("p,e", FIELDS + [(3, 1), (5, 1)])
+def test_arithmetic_matches_schoolbook_oracle(p, e):
+    # constant, degree-1 and higher divisors, monic and scaled by the code 2;
+    # zero, shorter and longer dividends
+    field, rng = _setup(p, e, "oracle")
+    for deg in range(5):
+        for _ in range(4):
+            monic = random_poly(field, rng, deg, monic=True, exact_deg=True)
+            shorter = random_poly(field, rng, deg - 1) if deg else Poly.zero(field)
+            for b in (monic, monic.scale(2)):
+                for a in (Poly.zero(field), shorter, random_poly(field, rng, 10)):
+                    assert list((a * b).coeffs) == _school_mul(a.coeffs, b.coeffs, field)
+                    assert list((b * a).coeffs) == _school_mul(b.coeffs, a.coeffs, field)
+                    quo, rem = divmod(a, b)
+                    assert (list(quo.coeffs), list(rem.coeffs)) == _long_div(a.coeffs, b.coeffs, field)
+                    n = rng.randint(1, 12)
+                    power = base = _long_div(a.coeffs, b.coeffs, field)[1]
+                    for _ in range(n - 1):
+                        power = _long_div(_school_mul(power, base, field), b.coeffs, field)[1]
+                    assert list(powmod(a, n, b).coeffs) == power
 
 
 @pytest.mark.parametrize("p,e", FIELDS)
