@@ -85,11 +85,10 @@ def gamma_check(a: RatFunc, b: RatFunc, epsilon: FieldElem | None = None) -> boo
         raise ValueError("pair family membership needs nonzero coordinates")
     field = a.field
     _require_odd(field)
-    epsilon = _check_epsilon(field, epsilon)
-    eps_rf = RatFunc.constant(field, epsilon)
+    eps_inv = _check_epsilon(field, epsilon).inverse()
 
     def branch(first: RatFunc, second: RatFunc) -> bool:
-        c = first / eps_rf
+        c = first.scale(eps_inv)
         return phi_inf(c) and _deg_parity(c) != _deg_parity(second)
 
     return branch(a, b) or branch(b, a)

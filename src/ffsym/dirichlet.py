@@ -10,24 +10,16 @@ import math
 from dataclasses import dataclass
 from random import Random
 
+from .gf import prime_divisors
 from .polyring import (
     Poly, enumerate_monic, enumerate_residues, factor, format_poly, gcd, is_irreducible, powmod,
 )
 
 
 def _mobius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    # n is squarefree exactly when it is the product of its distinct primes
+    primes = prime_divisors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def pi_q(q: int, k: int) -> int:
@@ -208,13 +200,11 @@ def ap_prime_counts(f: Poly, k: int) -> dict[Poly, int]:
 
     def power(x: int, n: int) -> int:
         # x^n one prime p | n at a time, so psi_4 reuses the psi_2 entries
-        p = 2
-        while n > 1:
-            while n % p:
-                p += 1
-            if (x, p) not in powers:
-                powers[x, p] = index[powmod(residues[x], p, f).coeffs]
-            x, n = powers[x, p], n // p
+        for p in prime_divisors(n):
+            while n % p == 0:
+                if (x, p) not in powers:
+                    powers[x, p] = index[powmod(residues[x], p, f).coeffs]
+                x, n = powers[x, p], n // p
         return x
 
     # Newton: L_j = j A_j - sum_{i < j} L_i A_{j-i}; a class sum A_s with

@@ -205,13 +205,13 @@ def parse_ratfunc(field: Field, text: str) -> RatFunc:
 # --- valuations and residues ---
 
 
-def _strip_prime(f: Poly, prime: Poly) -> tuple[Poly, int]:
-    # (f / P^m, m) with P^m exactly dividing the nonzero f
+def _strip_prime(f: Poly, prime: Poly) -> tuple[int, Poly]:
+    # (m, f / P^m mod P) with P^m exactly dividing the nonzero f
     mult = 0
     while True:
         q, r = divmod(f, prime)
         if not r.is_zero:
-            return f, mult
+            return mult, r
         f = q
         mult += 1
 
@@ -223,7 +223,7 @@ def valuation(x: RatFunc, place: Place) -> int:
     if place.is_infinite:
         return len(x.den.coeffs) - len(x.num.coeffs)
     p = place.prime
-    return _strip_prime(x.num, p)[1] - _strip_prime(x.den, p)[1]
+    return _strip_prime(x.num, p)[0] - _strip_prime(x.den, p)[0]
 
 
 def val_at_least(x: RatFunc, place: Place, bound: int) -> bool:
@@ -231,38 +231,6 @@ def val_at_least(x: RatFunc, place: Place, bound: int) -> bool:
     if x.is_zero:
         return True
     return valuation(x, place) >= bound
-
-
-def residue(x: RatFunc, place: Place) -> Poly:
-    """red_P(x) as a polynomial of degree < deg P; needs v_P(x) >= 0.
-
-    The fraction is reduced, so P divides the denominator exactly when the
-    valuation is negative.
-    """
-    if place.is_infinite:
-        raise ValueError("use residue_inf at the infinite place")
-    if x.is_zero:
-        return Poly.zero(x.field)
-    p = place.prime
-    den_red = x.den % p
-    if den_red.is_zero:
-        raise ValueError("negative valuation: residue undefined")
-    num_red = x.num % p
-    if num_red.is_zero:
-        return Poly.zero(x.field)
-    return (num_red * invmod(den_red, p)) % p
-
-
-def residue_inf(x: RatFunc) -> FieldElem:
-    """red_inf: 0 when v_inf > 0, leading-coefficient ratio when v_inf = 0."""
-    if x.is_zero:
-        return x.field.zero
-    v = valuation(x, Place.infinite(x.field))
-    if v < 0:
-        raise ValueError("negative valuation at infinity: residue undefined")
-    if v > 0:
-        return x.field.zero
-    return FieldElem(x.field, x.lead_ratio_code())
 
 
 def unit_residue(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
@@ -277,10 +245,40 @@ def unit_residue(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
         v = len(x.den.coeffs) - len(x.num.coeffs)
         return v, x.lead_ratio_code()
     p = place.prime
-    num, vn = _strip_prime(x.num, p)
-    den, vd = _strip_prime(x.den, p)
-    r = ((num % p) * invmod(den % p, p)) % p
-    return vn - vd, r
+    vn, rn = _strip_prime(x.num, p)
+    vd, rd = _strip_prime(x.den, p)
+    return vn - vd, (rn * invmod(rd, p)) % p
+
+
+def residue(x: RatFunc, place: Place) -> Poly:
+    """red_P(x) as a polynomial of degree < deg P; needs v_P(x) >= 0."""
+    if place.is_infinite:
+        raise ValueError("use residue_inf at the infinite place")
+    if x.is_zero:
+        return Poly.zero(x.field)
+    v, r = unit_residue(x, place)
+    if v < 0:
+        raise ValueError("negative valuation: residue undefined")
+    return Poly.zero(x.field) if v else r
+
+
+def residue_inf(x: RatFunc) -> FieldElem:
+    """red_inf: 0 when v_inf > 0, leading-coefficient ratio when v_inf = 0."""
+    if x.is_zero:
+        return x.field.zero
+    v, r = unit_residue(x, Place.infinite(x.field))
+    if v < 0:
+        raise ValueError("negative valuation at infinity: residue undefined")
+    return x.field.zero if v else FieldElem(x.field, r)
+
+
+def residue_character(place: Place, r: Poly | int) -> int:
+    """chi_v(r) for a unit-part residue r as unit_residue gives it, where
+    chi_v is the quadratic character of the residue field (odd q): the code
+    of 1 or -1, by Euler's criterion."""
+    if place.is_infinite:
+        return place.field.pow_(r, (place.field.q - 1) // 2)
+    return power_character(r, place.prime)
 
 
 def _finite_valuations(x: RatFunc) -> dict[Poly, int]:
@@ -322,15 +320,10 @@ def is_square_local(x: RatFunc, place: Place) -> bool:
     even valuation and the unit-part residue a square in the residue field."""
     if x.is_zero:
         raise ValueError("local square test is undefined for zero")
-    field = x.field
-    if field.q % 2 == 0:
+    if x.field.q % 2 == 0:
         raise ValueError("local square test requires odd q")
     v, r = unit_residue(x, place)
-    if v % 2:
-        return False
-    if place.is_infinite:
-        return field.is_square_code(r)
-    return power_character(r, place.prime) == field.one_code
+    return v % 2 == 0 and residue_character(place, r) == x.field.one_code
 
 
 def random_ratfunc(

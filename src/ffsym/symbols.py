@@ -7,10 +7,11 @@ The quadratic local symbol at a place v with residue degree h is
                         red_v(alpha^{v(beta)} / beta^{v(alpha)}))^{(q^h - 1)/2}
 
 and equals -1 exactly when the quaternion algebra H_{alpha,beta} is
-ramified at v.  The n-th power residue symbol (alpha/P)_n is the constant
-alpha^{(q^{deg P} - 1)/n} mod P, extended multiplicatively over the monic
-prime factorization of the lower argument (its leading coefficient is
-ignored by definition).
+ramified at v.  It is evaluated in character form, from the valuations
+and the unit-part residues alone (see local_symbol).  The n-th power
+residue symbol (alpha/P)_n is the constant alpha^{(q^{deg P} - 1)/n} mod P,
+extended multiplicatively over the monic prime factorization of the lower
+argument (its leading coefficient is ignored by definition).
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from .gf import Field, FieldElem
 from .places import (
     Place,
     RatFunc,
-    residue,
-    residue_inf,
+    residue_character,
     sorted_places,
     support,
-    valuation,
+    unit_residue,
 )
 from .polyring import (
     MonicSieve,
@@ -152,7 +152,7 @@ def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> SymbolValue:
         raise ValueError("lower argument must be nonzero")
     out = SymbolValue.one(field)
     for prime, mult in factor(beta):
-        out = out * residue_symbol(alpha, prime, n) ** mult
+        out = out * SymbolValue(field, power_character(alpha, prime, n)) ** mult
         if out.is_zero:
             return out
     return out
@@ -207,26 +207,25 @@ def check_general_reciprocity(alpha: Poly, beta: Poly, n: int = 2) -> Reciprocit
 def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> SymbolValue:
     """The quadratic local symbol (alpha, beta)_v.
 
-    Builds gamma = (-1)^{v(alpha)v(beta)} alpha^{v(beta)} / beta^{v(alpha)},
-    which is a unit at v, reduces it to the residue field and raises the
-    residue to the power (q^h - 1)/2.
+    With m = v(alpha), k = v(beta) and u_alpha, u_beta the residues of the
+    unit parts, the tame symbol is chi(-1)^{mk} chi(u_alpha)^k chi(u_beta)^m
+    for the quadratic character chi of the residue field (chi^{-m} = chi^m,
+    as chi = +-1).  chi(-1) = -1 exactly when q^h = 3 mod 4.
     """
     field = alpha.field
     if field.q % 2 == 0:
         raise ValueError("quadratic local symbols require odd q")
     if alpha.is_zero or beta.is_zero:
         raise ValueError("local symbols need nonzero arguments")
-    m = valuation(alpha, place)
-    k = valuation(beta, place)
-    gamma = (alpha ** k) / (beta ** m)
-    if (m * k) % 2:
-        gamma = gamma.scale(field.neg_one)
-    if valuation(gamma, place) != 0:
-        raise AssertionError("gamma is not a unit at the place")
-    if place.is_infinite:
-        code = field.pow_(residue_inf(gamma).code, (field.q - 1) // 2)
-    else:
-        code = power_character(residue(gamma, place), place.prime)
+    m, u_alpha = unit_residue(alpha, place)
+    k, u_beta = unit_residue(beta, place)
+    code = field.one_code
+    if k % 2:
+        code = field.mul(code, residue_character(place, u_alpha))
+    if m % 2:
+        code = field.mul(code, residue_character(place, u_beta))
+        if k % 2 and pow(field.q, place.residue_degree, 4) == 3:
+            code = field.neg(code)
     out = SymbolValue(field, code)
     if out.sign == 0:
         raise AssertionError("local symbol of units cannot vanish")
@@ -249,8 +248,8 @@ class HilbertResult:
 def hilbert_product(alpha: RatFunc, beta: RatFunc) -> HilbertResult:
     """Local symbols over the joint support plus infinity, and their product.
 
-    At every excluded place both valuations vanish, so gamma is a unit power
-    and the symbol is 1; the finite candidate set is exhaustive.
+    At every excluded place both valuations vanish, so every factor of the
+    tame symbol is 1; the finite candidate set is exhaustive.
     """
     if alpha.is_zero or beta.is_zero:
         raise ValueError("product formula needs nonzero arguments")

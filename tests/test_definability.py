@@ -14,8 +14,8 @@ from ffsym.definability import (
     sample_d_pairs,
     witness_pair,
 )
-from ffsym.gf import field_make, smallest_nonsquare
-from ffsym.places import Place, RatFunc, parse_ratfunc, random_ratfunc
+from ffsym.gf import FieldElem, field_make, smallest_nonsquare
+from ffsym.places import Place, RatFunc, parse_ratfunc, random_ratfunc, valuation
 from ffsym.polyring import Poly, monic_irreducibles, parse_poly
 from ffsym.symbols import local_symbol
 
@@ -63,6 +63,33 @@ def test_gamma_examples():
         gamma_check(RatFunc.zero(F3), RatFunc.one(F3), eps)
     with pytest.raises(ValueError):
         gamma_check(RatFunc.one(F3), RatFunc.one(F3), F3.one)  # epsilon must be a nonsquare
+
+
+def _gamma_check_oracle(a, b, eps):
+    # the definition read literally: a / eps as a quotient of rational functions
+    field = a.field
+    inf = Place.infinite(field)
+
+    def branch(first, second):
+        c = first / RatFunc.constant(field, eps)
+        return phi_inf(c) and valuation(c, inf) % 2 != valuation(second, inf) % 2
+
+    return branch(a, b) or branch(b, a)
+
+
+@pytest.mark.parametrize("p,e", [(5, 1), (3, 2), (5, 2)])
+def test_gamma_check_matches_quotient_definition(p, e):
+    field = field_make(p, e)
+    rng = Random(f"gamma-check:{p}^{e}")
+    nonsquares = [FieldElem(field, c) for c in range(1, field.q) if not field.is_square_code(c)]
+    verdicts = set()
+    for _ in range(150):
+        a, b = random_ratfunc(field, rng, 3), random_ratfunc(field, rng, 3)
+        for eps in nonsquares:
+            verdict = gamma_check(a, b, eps)
+            assert verdict == _gamma_check_oracle(a, b, eps)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_witness_pair_examples():

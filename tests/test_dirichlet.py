@@ -6,6 +6,7 @@ import pytest
 
 from ffsym.dirichlet import (
     APQuery,
+    _mobius,
     euler_phi,
     find_prime_in_ap,
     pi_ap,
@@ -51,6 +52,15 @@ def test_euler_phi_matches_unit_enumeration():
             residues = enumerate_residues(field, len(f.coeffs) - 1)
             assert units == [r for r in residues if gcd(r, f) == Poly.one(field)]
             assert euler_phi(f) == len(units)
+
+
+def test_mobius_matches_divisor_sum_definition():
+    # mu is the unique function with sum_{d | n} mu(d) = [n = 1]
+    top = 2000
+    mu = [0, 1] + [0] * (top - 1)
+    for n in range(2, top + 1):
+        mu[n] = -sum(mu[d] for d in range(1, n // 2 + 1) if n % d == 0)
+    assert [_mobius(n) for n in range(1, top + 1)] == mu[1:]
 
 
 def test_pi_q_examples():

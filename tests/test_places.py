@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from ffsym.gf import field_make
+from ffsym.gf import FieldElem, field_make
 from ffsym.places import (
     Place,
     RatFunc,
@@ -17,7 +17,7 @@ from ffsym.places import (
     support,
     valuation,
 )
-from ffsym.polyring import Poly, monic_irreducibles, parse_poly, random_poly
+from ffsym.polyring import Poly, invmod, monic_irreducibles, parse_poly, random_poly
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -92,6 +92,38 @@ def test_residue_inf_prime_power_ratio():
                 dp, dq = len(p.coeffs) - 1, len(q.coeffs) - 1
                 x = RatFunc(q ** dp, p ** dq)
                 assert residue_inf(x) == field.one
+
+
+def test_residue_over_extension_field():
+    # v > 0 reads 0, v = 0 the residue (num mod P)(den mod P)^{-1}, v < 0 raises
+    rng = Random("residue-f9")
+    for prime in (parse_poly(F9, "t+1"), monic_irreducibles(F9, 2)[3]):
+        pl = Place.finite(prime)
+        pi = RatFunc.from_poly(prime)
+        for _ in range(40):
+            x = random_ratfunc(F9, rng, 3)
+            v = valuation(x, pl)
+            if v < 0:
+                with pytest.raises(ValueError):
+                    residue(x, pl)
+                continue
+            u = x * pi ** (-v)  # v_P(u) = 0
+            expected = (u.num % prime) * invmod(u.den % prime, prime) % prime
+            assert residue(u, pl) == expected and not expected.is_zero
+            assert residue(u * pi, pl).is_zero
+            with pytest.raises(ValueError):
+                residue(u * pi.inverse(), pl)
+    inf = _inf(F9)
+    for _ in range(40):
+        x = random_ratfunc(F9, rng, 3)
+        v = valuation(x, inf)
+        t_v = RatFunc.t(F9) ** v  # x * t^v has v_inf = 0
+        u = x * t_v
+        lead = F9.div(u.num.lead_code, u.den.lead_code)
+        assert residue_inf(u) == FieldElem(F9, lead)
+        assert residue_inf(u * RatFunc.t(F9).inverse()) == F9.zero
+        with pytest.raises(ValueError):
+            residue_inf(u * RatFunc.t(F9))
 
 
 def test_odd_support_examples():

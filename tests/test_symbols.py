@@ -24,10 +24,14 @@ from ffsym.polyring import (
     Poly,
     character_table,
     enumerate_monic,
+    factor,
     gcd,
+    invmod,
     monic_irreducibles,
     parse_poly,
     poly_index,
+    power_character,
+    random_irreducible,
     random_poly,
 )
 from ffsym.symbols import (
@@ -89,6 +93,25 @@ def test_residue_symbol_general_examples():
     assert residue_symbol_general(t, Poly.constant(F3, 2)) == 1  # empty product
     with pytest.raises(ValueError):
         residue_symbol_general(t, Poly.zero(F3))
+
+
+def test_residue_symbol_general_trusts_factor(monkeypatch):
+    # the primes of factor() are not re-tested for irreducibility; the
+    # values agree with residue_symbol over the factorization
+    rng = Random("general-trusts-factor")
+    pairs = [(random_poly(F5, rng, 3), random_poly(F5, rng, 3, nonzero=True)) for _ in range(60)]
+    expected = []
+    for alpha, beta in pairs:
+        value = SymbolValue.one(F5)
+        for prime, mult in factor(beta):
+            value = value * residue_symbol(alpha, prime) ** mult
+        expected.append(value)
+
+    def refuse(f):
+        raise AssertionError("irreducibility test on a prime from factor()")
+
+    monkeypatch.setattr(symbols, "is_irreducible", refuse)
+    assert [residue_symbol_general(alpha, beta) for alpha, beta in pairs] == expected
 
 
 def test_sign_n_examples():
@@ -234,6 +257,42 @@ def test_local_symbol_bilinear():
                 assert left == local_symbol(a1, b, pl).sign * local_symbol(a2, b, pl).sign
                 right = local_symbol(b, a1 * a2, pl).sign
                 assert right == local_symbol(b, a1, pl).sign * local_symbol(b, a2, pl).sign
+
+
+def _gamma_symbol(alpha, beta, place):
+    # the gamma form: ((-1)^{mk} alpha^k / beta^m reduced at v)^{(q^h - 1)/2},
+    # the unit gamma reduced as (num mod P)(den mod P)^{-1} or its lead ratio
+    field = alpha.field
+    m, k = valuation(alpha, place), valuation(beta, place)
+    gamma = (alpha ** k) / (beta ** m)
+    if (m * k) % 2:
+        gamma = gamma.scale(field.neg_one)
+    assert valuation(gamma, place) == 0
+    if place.is_infinite:
+        return field.pow_(gamma.lead_ratio_code(), (field.q - 1) // 2)
+    p = place.prime
+    red = (gamma.num % p) * invmod(gamma.den % p, p) % p
+    return power_character(red, p)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (257, 1), (3, 2), (3, 5), (17, 2)])
+def test_local_symbol_matches_gamma_form(p, e):
+    # alpha = a P^i, beta = b P^j for a prime P of degree 1 or 2, so that
+    # v_P takes negative, zero and positive values on both sides
+    field = field_make(p, e)
+    rng = Random(f"gamma-oracle:{p}^{e}")
+    seen = set()
+    for n in range(60):
+        prime = random_irreducible(field, rng, 1 + n % 2)
+        pi = RatFunc.from_poly(prime)
+        i, j = rng.randint(-2, 2), rng.randint(-2, 2)
+        alpha = random_ratfunc(field, rng, 2) * pi ** i
+        beta = random_ratfunc(field, rng, 2) * pi ** j
+        for pl in {*_joint_places(field, alpha, beta), Place.finite(prime, trusted=True)}:
+            m, k = valuation(alpha, pl), valuation(beta, pl)
+            seen.add(((m > 0) - (m < 0), (k > 0) - (k < 0)))
+            assert local_symbol(alpha, beta, pl).code == _gamma_symbol(alpha, beta, pl)
+    assert len(seen) == 9
 
 
 def test_local_symbol_special_values():
