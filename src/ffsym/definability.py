@@ -16,7 +16,7 @@ from random import Random
 
 from .dirichlet import find_prime_in_ap
 from .gf import Field, FieldElem, smallest_nonsquare
-from .places import Place, RatFunc, random_ratfunc, valuation
+from .places import Place, RatFunc, random_ratfunc, square_class, valuation
 from .polyring import Poly, factor, power_character, random_irreducible
 from .quaternion import RamificationSet, delta, r_tilde_member
 
@@ -57,20 +57,17 @@ def inf_square_class(c: RatFunc) -> InfSquareClass:
     if c.is_zero:
         raise ValueError("square class of zero is undefined")
     _require_odd(c.field)
-    odd_val = valuation(c, Place.infinite(c.field)) % 2 == 1
-    lead_square = c.field.is_square_code(c.lead_ratio_code())
-    if lead_square:
-        return InfSquareClass.INV_T_TIMES_SQUARE if odd_val else InfSquareClass.SQUARE
+    w, r = square_class(c, Place.infinite(c.field))
+    if c.field.is_square_code(r):
+        return InfSquareClass.INV_T_TIMES_SQUARE if w % 2 else InfSquareClass.SQUARE
     return (
         InfSquareClass.NONSQUARE_INV_T_TIMES_SQUARE
-        if odd_val
+        if w % 2
         else InfSquareClass.NONSQUARE_TIMES_SQUARE
     )
 
 
-def _deg_parity(x: RatFunc) -> int:
-    # parity of -v_inf(x), the degree notion available on all of K
-    return (-valuation(x, Place.infinite(x.field))) % 2
+_ODD_AT_INF = (InfSquareClass.INV_T_TIMES_SQUARE, InfSquareClass.NONSQUARE_INV_T_TIMES_SQUARE)
 
 
 def gamma_check(a: RatFunc, b: RatFunc, epsilon: FieldElem | None = None) -> bool:
@@ -79,19 +76,19 @@ def gamma_check(a: RatFunc, b: RatFunc, epsilon: FieldElem | None = None) -> boo
     Branch one: a/epsilon is a square at infinity and the degree parities
     of a/epsilon and b differ; branch two swaps the roles.  The scalar
     witness in front of the second coordinate ranges over nonzero
-    constants, so only the parity of that coordinate matters.
+    constants, so only the parity of that coordinate matters.  For every
+    nonsquare constant epsilon, a/epsilon is a square at infinity exactly
+    when a lies in the class h*sq, so (a, b) is in D iff one coordinate is
+    in h*sq and the other has odd valuation at infinity.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("pair family membership needs nonzero coordinates")
     field = a.field
     _require_odd(field)
-    eps_inv = _check_epsilon(field, epsilon).inverse()
-
-    def branch(first: RatFunc, second: RatFunc) -> bool:
-        c = first.scale(eps_inv)
-        return phi_inf(c) and _deg_parity(c) != _deg_parity(second)
-
-    return branch(a, b) or branch(b, a)
+    _check_epsilon(field, epsilon)
+    ca, cb = inf_square_class(a), inf_square_class(b)
+    h_sq = InfSquareClass.NONSQUARE_TIMES_SQUARE
+    return (ca is h_sq and cb in _ODD_AT_INF) or (cb is h_sq and ca in _ODD_AT_INF)
 
 
 @dataclass(frozen=True)

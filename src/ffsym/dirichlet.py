@@ -6,6 +6,7 @@ pi_q(k) / Phi_q(f).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from random import Random
@@ -58,27 +59,6 @@ class APQuery:
             raise ValueError("residue and modulus must be coprime")
 
 
-def _ap_candidates(f: Poly, c: Poly, k: int):
-    """All monic polynomials of degree k congruent to c mod f.
-
-    The class mod f equals the class mod monic(f), so the modulus is
-    normalized and candidates are c_red + monic(f) * g over monic g.
-    """
-    field = f.field
-    deg_f = len(f.coeffs) - 1
-    if deg_f == 0:
-        yield from enumerate_monic(field, k)
-        return
-    f = f.monic()
-    c_red = c % f
-    if k < deg_f:
-        if len(c_red.coeffs) - 1 == k and c_red.is_monic:
-            yield c_red
-        return
-    for g in enumerate_monic(field, k - deg_f):
-        yield c_red + f * g
-
-
 def pi_ap(query: APQuery) -> int:
     """Exact count: the entry of the class of c in ap_prime_counts(f, k)."""
     f = query.f.monic()
@@ -89,23 +69,24 @@ def pi_ap(query: APQuery) -> int:
 def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Poly | None:
     """A monic irreducible of degree k congruent to c mod f.
 
-    Seeded random probing first, then an exhaustive sweep; None only after
-    the sweep finds nothing.
+    The class mod f equals the class mod monic(f), so every candidate is
+    c_red + monic(f) * g: over 64 seeded random monic g of degree
+    k - deg f first (when deg f >= 1), then over every such g (g = 0 alone
+    when k < deg f); None only after that sweep finds nothing.
     """
     if gcd(c, f).degree != 0:
         raise ValueError("residue and modulus must be coprime")
     field = f.field
-    deg_f = len(f.coeffs) - 1
-    if rng is not None and k >= deg_f >= 1:
-        f_monic = f.monic()
-        c_red = c % f_monic
-        for _ in range(64):
-            g = Poly(field, [rng.randrange(field.q) for _ in range(k - deg_f)] + [1], trusted=True)
-            cand = c_red + f_monic * g
-            if not cand.is_constant and is_irreducible(cand):
-                return cand
-    for cand in _ap_candidates(f, c, k):
-        if not cand.is_constant and is_irreducible(cand):
+    f = f.monic()
+    c_red = c % f
+    deg_g = k - (len(f.coeffs) - 1)
+    probes = 64 if rng is not None and deg_g >= 0 and not f.is_constant else 0
+    draws = (Poly(field, [rng.randrange(field.q) for _ in range(deg_g)] + [1], trusted=True)
+             for _ in range(probes))
+    scan = enumerate_monic(field, deg_g) if deg_g >= 0 else [Poly.zero(field)]
+    for g in itertools.chain(draws, scan):
+        cand = c_red + f * g
+        if len(cand.coeffs) - 1 == k >= 1 and cand.is_monic and is_irreducible(cand):
             return cand
     return None
 

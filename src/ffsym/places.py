@@ -233,47 +233,46 @@ def val_at_least(x: RatFunc, place: Place, bound: int) -> bool:
     return valuation(x, place) >= bound
 
 
-def unit_residue(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
-    """(v, residue of the unit part x / pi^v) with pi = P or 1/t.
+def square_class(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
+    """(w, r) with w of the parity of v(x) and chi_v(r) = chi_v(u_x) for
+    the unit part u_x of x: its square class in the completion.
 
-    The residue is a Poly mod P at finite places and a field code at
-    infinity (where the unit-part residue is just the leading ratio).
+    x = num/den = num*den / den^2 has the square class of the polynomial
+    num*den, so w and r are the valuation and the unit-part residue of
+    num*den: a Poly mod P at finite places, the product of the leading
+    coefficients at infinity.
     """
     if x.is_zero:
         raise ValueError("zero has no unit part")
     if place.is_infinite:
-        v = len(x.den.coeffs) - len(x.num.coeffs)
-        return v, x.lead_ratio_code()
-    p = place.prime
-    vn, rn = _strip_prime(x.num, p)
-    vd, rd = _strip_prime(x.den, p)
-    return vn - vd, (rn * invmod(rd, p)) % p
+        w = 2 - len(x.num.coeffs) - len(x.den.coeffs)
+        return w, x.field.mul(x.num.lead_code, x.den.lead_code)
+    return _strip_prime(x.num * x.den, place.prime)
 
 
 def residue(x: RatFunc, place: Place) -> Poly:
     """red_P(x) as a polynomial of degree < deg P; needs v_P(x) >= 0."""
     if place.is_infinite:
         raise ValueError("use residue_inf at the infinite place")
-    if x.is_zero:
-        return Poly.zero(x.field)
-    v, r = unit_residue(x, place)
-    if v < 0:
+    p = place.prime
+    d = x.den % p  # x is reduced, so v_P(x) < 0 exactly when P | den
+    if d.is_zero:
         raise ValueError("negative valuation: residue undefined")
-    return Poly.zero(x.field) if v else r
+    return (x.num * invmod(d, p)) % p
 
 
 def residue_inf(x: RatFunc) -> FieldElem:
     """red_inf: 0 when v_inf > 0, leading-coefficient ratio when v_inf = 0."""
     if x.is_zero:
         return x.field.zero
-    v, r = unit_residue(x, Place.infinite(x.field))
+    v = len(x.den.coeffs) - len(x.num.coeffs)
     if v < 0:
         raise ValueError("negative valuation at infinity: residue undefined")
-    return x.field.zero if v else FieldElem(x.field, r)
+    return x.field.zero if v else FieldElem(x.field, x.lead_ratio_code())
 
 
 def residue_character(place: Place, r: Poly | int) -> int:
-    """chi_v(r) for a unit-part residue r as unit_residue gives it, where
+    """chi_v(r) for a unit-part residue r as square_class gives it, where
     chi_v is the quadratic character of the residue field (odd q): the code
     of 1 or -1, by Euler's criterion."""
     if place.is_infinite:
@@ -322,8 +321,8 @@ def is_square_local(x: RatFunc, place: Place) -> bool:
         raise ValueError("local square test is undefined for zero")
     if x.field.q % 2 == 0:
         raise ValueError("local square test requires odd q")
-    v, r = unit_residue(x, place)
-    return v % 2 == 0 and residue_character(place, r) == x.field.one_code
+    w, r = square_class(x, place)
+    return w % 2 == 0 and residue_character(place, r) == x.field.one_code
 
 
 def random_ratfunc(

@@ -26,8 +26,8 @@ from .places import (
     RatFunc,
     residue_character,
     sorted_places,
+    square_class,
     support,
-    unit_residue,
 )
 from .polyring import (
     MonicSieve,
@@ -207,18 +207,19 @@ def check_general_reciprocity(alpha: Poly, beta: Poly, n: int = 2) -> Reciprocit
 def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> SymbolValue:
     """The quadratic local symbol (alpha, beta)_v.
 
-    With m = v(alpha), k = v(beta) and u_alpha, u_beta the residues of the
-    unit parts, the tame symbol is chi(-1)^{mk} chi(u_alpha)^k chi(u_beta)^m
-    for the quadratic character chi of the residue field (chi^{-m} = chi^m,
-    as chi = +-1).  chi(-1) = -1 exactly when q^h = 3 mod 4.
+    With m == v(alpha) and k == v(beta) mod 2, and u_alpha, u_beta the
+    residues of the unit parts (up to squares, from places.square_class),
+    the tame symbol is chi(-1)^{mk} chi(u_alpha)^k chi(u_beta)^m for the
+    quadratic character chi of the residue field (chi^{-m} = chi^m, as
+    chi = +-1).  chi(-1) = -1 exactly when q^h = 3 mod 4.
     """
     field = alpha.field
     if field.q % 2 == 0:
         raise ValueError("quadratic local symbols require odd q")
     if alpha.is_zero or beta.is_zero:
         raise ValueError("local symbols need nonzero arguments")
-    m, u_alpha = unit_residue(alpha, place)
-    k, u_beta = unit_residue(beta, place)
+    m, u_alpha = square_class(alpha, place)
+    k, u_beta = square_class(beta, place)
     code = field.one_code
     if k % 2:
         code = field.mul(code, residue_character(place, u_alpha))

@@ -68,6 +68,14 @@ CASES = {
     "ext_reciprocity_sweep_3e2_n8": ["reciprocity-sweep", "--q", "3^2", "--degree-max", "2",
                                      "--n", "8"],
     "reciprocity_sweep_degree0": ["reciprocity-sweep", "--q", "5", "--degree-max", "0"],
+    # fraction arguments: local symbols at places dividing a denominator
+    "hilbert_fractions_7": ["hilbert", "--q", "7", "--alpha", "t^2+3/t^3+t+1",
+                            "--beta", "3*t/t^2+1"],
+    "ext_hilbert_fractions_17e2": ["hilbert", "--q", "17^2", "--alpha", "[0,1]*t+1/t^2+3",
+                                   "--beta", "t^3+[1,1]/t+[0,2]"],
+    "delta_fractions_13": ["delta", "--q", "13", "--a", "2*t^3+1/t^2+t+7", "--b", "t+5/t^4+2"],
+    "local_symbol_fractions_257": ["local-symbol", "--q", "257", "--alpha", "3/t^3",
+                                   "--beta", "t+1/t", "--place", "t"],
 }
 
 

@@ -173,6 +173,28 @@ def test_find_prime_output_contract():
             assert ((out - c) % f).is_zero
 
 
+@pytest.mark.parametrize("q, f_text", [
+    ("3", "1"), ("3", "2"), ("3", "t"), ("3", "2*t^2+t"), ("2^2", "t^2+t+1"),
+])
+def test_find_prime_matches_exact_counts(q, f_text):
+    # None exactly when the class holds no prime of degree k, with or
+    # without the random probes, for every unit class and k <= deg f + 2
+    field = parse_field_spec(q)
+    f = parse_poly(field, f_text)
+    units = [r for r in enumerate_residues(field, f.degree) if gcd(r, f).degree == 0]
+    rng = Random(f"find-prime-counts:{q}:{f_text}")
+    for k in range(0, f.degree + 3):
+        for c in units:
+            count = pi_ap(APQuery(f, c, k))
+            for probe_rng in (None, rng):
+                out = find_prime_in_ap(f, c, k, probe_rng)
+                if count == 0:
+                    assert out is None
+                    continue
+                assert out.is_monic and out.degree == k and is_irreducible(out)
+                assert ((out - c) % f).is_zero
+
+
 def test_dirichlet_small_degrees_f13():
     # a prime exists in every unit class mod a linear modulus for k = 3..6
     for f in monic_irreducibles(F13, 1):

@@ -18,7 +18,8 @@ from ffsym.places import (
     support,
     valuation,
 )
-from ffsym import symbols
+from ffsym import polyring, quaternion, symbols
+from ffsym.definability import gamma_check
 from ffsym.polyring import (
     MonicSieve,
     Poly,
@@ -34,6 +35,7 @@ from ffsym.polyring import (
     random_irreducible,
     random_poly,
 )
+from ffsym.quaternion import delta
 from ffsym.symbols import (
     SymbolValue,
     _residue_walk,
@@ -293,6 +295,35 @@ def test_local_symbol_matches_gamma_form(p, e):
             seen.add(((m > 0) - (m < 0), (k > 0) - (k < 0)))
             assert local_symbol(alpha, beta, pl).code == _gamma_symbol(alpha, beta, pl)
     assert len(seen) == 9
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (257, 1), (3, 5), (17, 2)])
+def test_local_path_inverts_nothing(p, e, monkeypatch):
+    # local questions read square classes (num*den), never a residue inverse
+    field = field_make(p, e)
+    rng = Random(f"no-inverse:{p}^{e}")
+    pairs = [(random_ratfunc(field, rng, 3), random_ratfunc(field, rng, 3)) for _ in range(25)]
+
+    def run():
+        quaternion._delta_cached.cache_clear()
+        out = []
+        for alpha, beta in pairs:
+            places = sorted_places(support(alpha) | {Place.infinite(field)})
+            out.append((
+                hilbert_product(alpha, beta),
+                delta(alpha, beta).places,
+                gamma_check(alpha, beta),
+                [is_square_local(alpha, pl) for pl in places],
+            ))
+        return out
+
+    expected = run()
+
+    def refuse(f, g):
+        raise AssertionError("extended gcd on the local path")
+
+    monkeypatch.setattr(polyring, "xgcd", refuse)
+    assert run() == expected
 
 
 def test_local_symbol_special_values():
