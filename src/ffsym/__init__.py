@@ -24,6 +24,7 @@ from .polyring import (
 from .places import (
     Place,
     RatFunc,
+    divisor,
     is_square_local,
     odd_support,
     parse_place,

@@ -16,8 +16,8 @@ from random import Random
 
 from .dirichlet import find_prime_in_ap
 from .gf import Field, FieldElem, smallest_nonsquare
-from .places import Place, RatFunc, random_ratfunc, square_class, valuation
-from .polyring import Poly, factor, power_character, random_irreducible
+from .places import Place, RatFunc, divisor, random_ratfunc, square_class, valuation
+from .polyring import Poly, power_character, random_irreducible
 from .quaternion import RamificationSet, delta, r_tilde_member
 
 DEFAULT_WITNESS_DEGREE_SLACK = 6
@@ -254,7 +254,7 @@ def member_A_union_Ainf_theorem(
         agrees = all(ev.accepted for ev in evidence)
         return MembershipReport(True, agrees, tuple(evidence))
     # pick a denominator prime with negative valuation; one witness suffices
-    bad_prime = factor(x.den).factors[0][0]
+    bad_prime = next(prime for prime, v in divisor(x) if v < 0)
     wp = witness_pair(Place.finite(bad_prime, trusted=True), epsilon, rng)
     accepted = r_tilde_member(x, wp.a, wp.b)
     ev = PairEvidence(wp.a, wp.b, "witness", accepted)

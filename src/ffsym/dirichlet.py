@@ -13,7 +13,8 @@ from random import Random
 
 from .gf import prime_divisors
 from .polyring import (
-    Poly, enumerate_monic, enumerate_residues, factor, format_poly, gcd, is_irreducible, powmod,
+    Poly, _mul_codes, _reduce_codes, _reduction, enumerate_monic, enumerate_residues, factor,
+    format_poly, gcd, is_irreducible, powmod,
 )
 
 
@@ -178,6 +179,7 @@ def ap_prime_counts(f: Poly, k: int) -> dict[Poly, int]:
     # class of x * g for the sparse g, one row per g, and of x^p, filled on demand
     products: dict[int, dict[int, int]] = {g: {} for row in sparse for g in row}
     powers: dict[tuple[int, int], int] = {}
+    field, red = f.field, _reduction(f)
 
     def power(x: int, n: int) -> int:
         # x^n one prime p | n at a time, so psi_4 reuses the psi_2 entries
@@ -206,7 +208,9 @@ def ap_prime_counts(f: Poly, k: int) -> dict[Poly, int]:
                 for x, v in lam[i].items():
                     y = row.get(x)
                     if y is None:
-                        y = row[x] = index[(residues[x] * residues[g] % f).coeffs]
+                        rem = _reduce_codes(_mul_codes(residues[x].coeffs, residues[g].coeffs, field),
+                                            red, field)
+                        y = row[x] = index[Poly(field, rem).coeffs]
                     acc[y] = acc.get(y, 0) - v
         if flat:
             acc = {x: flat + acc.get(x, 0) for x in range(phi)}

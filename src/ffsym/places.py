@@ -2,13 +2,17 @@
 
 A place is a monic irreducible polynomial P (uniformizer P) or the
 distinguished infinite place with uniformizer 1/t and valuation
-v_inf = deg(den) - deg(num).  Completions are never materialized: every
-local question used downstream reduces to a valuation parity plus a square
-test in the residue field.
+v_inf = deg(den) - deg(num).  divisor(x) is the one factored form of x:
+its finite primes with their valuations, computed once per x and cached.
+support, odd_support and valuation read it, and a prime outside it has
+valuation 0.  Completions are never materialized: every local question
+used downstream reduces to a valuation parity plus a square test in the
+residue field.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
 from typing import Iterable, Union
 
@@ -216,14 +220,43 @@ def _strip_prime(f: Poly, prime: Poly) -> tuple[int, Poly]:
         mult += 1
 
 
+# 1024 divisors hold the reuse of a membership query (x against 20 pairs of
+# D, and primes recurring across witness pairs) for about 0.5 MB
+@lru_cache(maxsize=1024)
+def divisor(x: RatFunc) -> tuple[tuple[Poly, int], ...]:
+    """The finite part of the divisor of x: (P, v_P(x)) for every monic
+    prime P with v_P(x) != 0, in Place.sort_key order, so that x is
+    lead_ratio_code() times the product of the P^v_P(x).
+
+    The one factored form of x: numerator and denominator (coprime, as x
+    is reduced) are factored once and the result is cached, so it is an
+    immutable tuple shared by every caller.
+    """
+    if x.is_zero:
+        raise ValueError("divisor of zero is undefined")
+    pairs = []
+    for f, sign in ((x.num, 1), (x.den, -1)):
+        if not f.is_constant:
+            pairs.extend((prime, sign * mult) for prime, mult in factor(f))
+    return tuple(sorted(pairs, key=lambda pv: pv[0].sort_key()))
+
+
+def _finite_valuation(x: RatFunc, prime: Poly) -> int:
+    # v_P(x) read from the divisor; 0 at a prime outside it
+    for p, v in divisor(x):
+        if p == prime:
+            return v
+    return 0
+
+
 def valuation(x: RatFunc, place: Place) -> int:
     """v_P(x); at infinity deg(den) - deg(num).  Undefined for x = 0."""
     if x.is_zero:
         raise ValueError("valuation of zero is undefined")
     if place.is_infinite:
         return len(x.den.coeffs) - len(x.num.coeffs)
-    p = place.prime
-    return _strip_prime(x.num, p)[0] - _strip_prime(x.den, p)[0]
+    x.num._check(place.prime)
+    return _finite_valuation(x, place.prime)
 
 
 def val_at_least(x: RatFunc, place: Place, bound: int) -> bool:
@@ -240,14 +273,18 @@ def square_class(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
     x = num/den = num*den / den^2 has the square class of the polynomial
     num*den, so w and r are the valuation and the unit-part residue of
     num*den: a Poly mod P at finite places, the product of the leading
-    coefficients at infinity.
+    coefficients at infinity.  At a prime outside divisor(x), num*den is
+    a unit: w = 0 and r = num*den mod P.
     """
     if x.is_zero:
         raise ValueError("zero has no unit part")
     if place.is_infinite:
         w = 2 - len(x.num.coeffs) - len(x.den.coeffs)
         return w, x.field.mul(x.num.lead_code, x.den.lead_code)
-    return _strip_prime(x.num * x.den, place.prime)
+    p = place.prime
+    if _finite_valuation(x, p):
+        return _strip_prime(x.num * x.den, p)
+    return 0, (x.num * x.den) % p
 
 
 def residue(x: RatFunc, place: Place) -> Poly:
@@ -280,21 +317,11 @@ def residue_character(place: Place, r: Poly | int) -> int:
     return power_character(r, place.prime)
 
 
-def _finite_valuations(x: RatFunc) -> dict[Poly, int]:
-    # v_P(x) for every prime P of the numerator or the denominator
-    mults: dict[Poly, int] = {}
-    for f, sign in ((x.num, 1), (x.den, -1)):
-        if not f.is_constant:
-            for prime, mult in factor(f):
-                mults[prime] = mults.get(prime, 0) + sign * mult
-    return mults
-
-
 def support(x: RatFunc, *, include_infinite: bool = True) -> frozenset[Place]:
     """All places with nonzero valuation."""
     if x.is_zero:
         raise ValueError("support of zero is undefined")
-    places = {Place.finite(pr, trusted=True) for pr, v in _finite_valuations(x).items() if v}
+    places = {Place.finite(pr, trusted=True) for pr, _ in divisor(x)}
     if include_infinite and len(x.num.coeffs) != len(x.den.coeffs):
         places.add(Place.infinite(x.field))
     return frozenset(places)
@@ -304,7 +331,7 @@ def odd_support(x: RatFunc) -> frozenset[Place]:
     """Places where v_P(x) is odd, including infinity."""
     if x.is_zero:
         raise ValueError("odd support of zero is undefined")
-    places = {Place.finite(pr, trusted=True) for pr, v in _finite_valuations(x).items() if v % 2}
+    places = {Place.finite(pr, trusted=True) for pr, v in divisor(x) if v % 2}
     if (len(x.den.coeffs) - len(x.num.coeffs)) % 2:
         places.add(Place.infinite(x.field))
     return frozenset(places)

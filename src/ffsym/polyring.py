@@ -299,9 +299,11 @@ def _reduce_codes(prod: list[int], red: tuple[Sequence[int], int], field: Field)
 def powmod(f: Poly, n: int, mod: Poly) -> Poly:
     if n < 0:
         return powmod(invmod(f, mod), -n, mod)
+    f._check(mod)
     field = f.field
-    base = list((f % mod).coeffs)
     d = len(mod.coeffs) - 1
+    # callers such as power_character hand in residues already reduced
+    base = list(f.coeffs if len(f.coeffs) <= d else (f % mod).coeffs)
     if d <= 1:  # every residue is a constant
         code = field.pow_(base[0] if base else 0, n)
         return Poly(field, (code,) if code else (), trusted=True)

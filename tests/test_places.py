@@ -6,6 +6,8 @@ from ffsym.gf import FieldElem, field_make
 from ffsym.places import (
     Place,
     RatFunc,
+    _strip_prime,
+    divisor,
     is_square_local,
     odd_support,
     parse_place,
@@ -17,7 +19,9 @@ from ffsym.places import (
     support,
     valuation,
 )
-from ffsym.polyring import Poly, invmod, monic_irreducibles, parse_poly, random_poly
+from ffsym.polyring import (
+    Poly, invmod, is_irreducible, monic_irreducibles, parse_poly, random_irreducible, random_poly,
+)
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -124,6 +128,36 @@ def test_residue_over_extension_field():
         assert residue_inf(u * RatFunc.t(F9).inverse()) == F9.zero
         with pytest.raises(ValueError):
             residue_inf(u * RatFunc.t(F9))
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (257, 1), (3, 5), (5, 4), (2, 2), (2, 3)])
+def test_divisor_is_the_factored_form(p, e):
+    # x = a P^i for a random fraction a and a prime P of degree 1 or 2, so
+    # that multiplicities above 1 occur on both sides of the fraction
+    field = field_make(p, e)
+    rng = Random(f"divisor:{p}^{e}")
+    for n in range(30):
+        prime = random_irreducible(field, rng, 1 + n % 2)
+        x = random_ratfunc(field, rng, 3) * RatFunc.from_poly(prime) ** rng.randint(-2, 2)
+        div = divisor(x)
+        assert isinstance(div, tuple) and all(isinstance(pv, tuple) for pv in div)
+        with pytest.raises(TypeError):
+            div[0] = (prime, 1)  # shared by every caller through the cache
+        places = [Place.finite(pr, trusted=True) for pr, _ in div]
+        assert places == sorted_places(places) and len(set(places)) == len(places)
+        rebuilt = RatFunc.constant(field, FieldElem(field, x.lead_ratio_code()))
+        for pr, v in div:
+            assert pr.is_monic and not pr.is_constant and is_irreducible(pr) and v != 0
+            rebuilt = rebuilt * RatFunc.from_poly(pr) ** v
+        assert rebuilt == x
+        # valuations against stripping P from num and den one division at a time
+        outside = [random_irreducible(field, rng, 1 + k % 2) for k in range(3)]
+        for pr in [pr for pr, _ in div] + outside:
+            stripped = _strip_prime(x.num, pr)[0] - _strip_prime(x.den, pr)[0]
+            assert valuation(x, Place.finite(pr, trusted=True)) == stripped
+            assert stripped == dict(div).get(pr, 0)
+    with pytest.raises(ValueError):
+        divisor(RatFunc.zero(field))
 
 
 def test_odd_support_examples():

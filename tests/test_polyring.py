@@ -255,6 +255,25 @@ def test_powmod_matches_naive():
             powmod(Poly.t(field), 3, Poly.zero(field))
 
 
+def test_powmod_of_a_residue_divides_nothing(monkeypatch):
+    # power_character hands powmod residues already reduced mod P
+    field = field_make(3, 2)
+    rng = Random("powmod-reduced")
+    cases = []
+    for deg in (2, 3):
+        mod = random_poly(field, rng, deg, monic=True, exact_deg=True)
+        for _ in range(10):
+            f = random_poly(field, rng, deg - 1)
+            cases.append((f, rng.randint(0, 40), mod))
+    expected = [powmod(f, n, mod) for f, n, mod in cases]
+
+    def refuse(self, other):
+        raise AssertionError("division of a reduced residue")
+
+    monkeypatch.setattr(Poly, "__divmod__", refuse)
+    assert [powmod(f, n, mod) for f, n, mod in cases] == expected
+
+
 def test_text_grammar_roundtrip():
     assert format_poly(parse_poly(F3, "t^3+2*t+1")) == "t^3+2*t+1"
     assert parse_poly(F3, "2+t") == parse_poly(F3, "t+2")

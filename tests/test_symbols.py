@@ -18,7 +18,7 @@ from ffsym.places import (
     support,
     valuation,
 )
-from ffsym import polyring, quaternion, symbols
+from ffsym import places, polyring, quaternion, symbols
 from ffsym.definability import gamma_check
 from ffsym.polyring import (
     MonicSieve,
@@ -324,6 +324,32 @@ def test_local_path_inverts_nothing(p, e, monkeypatch):
 
     monkeypatch.setattr(polyring, "xgcd", refuse)
     assert run() == expected
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (257, 1), (3, 2), (3, 5)])
+def test_local_path_factors_each_fraction_once(p, e, monkeypatch):
+    # hilbert_product then delta read one cached divisor per fraction:
+    # factor runs once on each nonconstant numerator and denominator
+    field = field_make(p, e)
+    rng = Random(f"factor-once:{p}^{e}")
+    pairs = [(random_ratfunc(field, rng, 3), random_ratfunc(field, rng, 3)) for _ in range(20)]
+    pairs.append((pairs[0][0], pairs[0][0]))
+    expected = [(hilbert_product(a, b), delta(a, b).places) for a, b in pairs]
+    calls = []
+
+    def counting_factor(f, rng=None):
+        calls.append(f)
+        return polyring.factor(f, rng)
+
+    for module in (places, symbols):
+        monkeypatch.setattr(module, "factor", counting_factor)
+    for (a, b), out in zip(pairs, expected):
+        places.divisor.cache_clear()
+        quaternion._delta_cached.cache_clear()
+        calls.clear()
+        assert (hilbert_product(a, b), delta(a, b).places) == out
+        parts = [f for x in {a, b} for f in (x.num, x.den) if not f.is_constant]
+        assert sorted(calls, key=Poly.sort_key) == sorted(parts, key=Poly.sort_key)
 
 
 def test_local_symbol_special_values():
