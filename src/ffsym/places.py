@@ -4,10 +4,10 @@ A place is a monic irreducible polynomial P (uniformizer P) or the
 distinguished infinite place with uniformizer 1/t and valuation
 v_inf = deg(den) - deg(num).  divisor(x) is the one factored form of x:
 its finite primes with their valuations, computed once per x and cached.
-support, odd_support and valuation read it, and a prime outside it has
-valuation 0.  Completions are never materialized: every local question
-used downstream reduces to a valuation parity plus a square test in the
-residue field.
+support and odd_support read it; valuation at one place strips that prime
+alone, which costs less than factoring a fraction seen once.  Completions
+are never materialized: every local question used downstream reduces to a
+valuation parity plus a square test in the residue field.
 """
 
 from __future__ import annotations
@@ -220,8 +220,8 @@ def _strip_prime(f: Poly, prime: Poly) -> tuple[int, Poly]:
         mult += 1
 
 
-# 1024 divisors hold the reuse of a membership query (x against 20 pairs of
-# D, and primes recurring across witness pairs) for about 0.5 MB
+# 1024 divisors keep nearly all of the reuse across a membership query's
+# delta calls (fractions recurring across witness pairs) for about 0.5 MB
 @lru_cache(maxsize=1024)
 def divisor(x: RatFunc) -> tuple[tuple[Poly, int], ...]:
     """The finite part of the divisor of x: (P, v_P(x)) for every monic
@@ -241,22 +241,14 @@ def divisor(x: RatFunc) -> tuple[tuple[Poly, int], ...]:
     return tuple(sorted(pairs, key=lambda pv: pv[0].sort_key()))
 
 
-def _finite_valuation(x: RatFunc, prime: Poly) -> int:
-    # v_P(x) read from the divisor; 0 at a prime outside it
-    for p, v in divisor(x):
-        if p == prime:
-            return v
-    return 0
-
-
 def valuation(x: RatFunc, place: Place) -> int:
     """v_P(x); at infinity deg(den) - deg(num).  Undefined for x = 0."""
     if x.is_zero:
         raise ValueError("valuation of zero is undefined")
     if place.is_infinite:
         return len(x.den.coeffs) - len(x.num.coeffs)
-    x.num._check(place.prime)
-    return _finite_valuation(x, place.prime)
+    p = place.prime
+    return _strip_prime(x.num, p)[0] - _strip_prime(x.den, p)[0]
 
 
 def val_at_least(x: RatFunc, place: Place, bound: int) -> bool:
@@ -273,18 +265,14 @@ def square_class(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
     x = num/den = num*den / den^2 has the square class of the polynomial
     num*den, so w and r are the valuation and the unit-part residue of
     num*den: a Poly mod P at finite places, the product of the leading
-    coefficients at infinity.  At a prime outside divisor(x), num*den is
-    a unit: w = 0 and r = num*den mod P.
+    coefficients at infinity.
     """
     if x.is_zero:
         raise ValueError("zero has no unit part")
     if place.is_infinite:
         w = 2 - len(x.num.coeffs) - len(x.den.coeffs)
         return w, x.field.mul(x.num.lead_code, x.den.lead_code)
-    p = place.prime
-    if _finite_valuation(x, p):
-        return _strip_prime(x.num * x.den, p)
-    return 0, (x.num * x.den) % p
+    return _strip_prime(x.num * x.den, place.prime)
 
 
 def residue(x: RatFunc, place: Place) -> Poly:
