@@ -6,7 +6,6 @@ prime counting in arithmetic progressions."""
 from .gf import Field, FieldElem, field_make, parse_field_spec, smallest_nonsquare
 from .polyring import (
     NEG_INF,
-    Factorization,
     Poly,
     enumerate_monic,
     factor,
@@ -40,7 +39,6 @@ from .symbols import (
     HilbertResult,
     ReciprocityCheck,
     SweepResult,
-    SymbolValue,
     check_general_reciprocity,
     hilbert_product,
     local_symbol,

@@ -127,7 +127,8 @@ def witness_pair(
     For odd deg P the companion Q is an even-degree monic prime congruent
     to the square residue 1 mod P; for even deg P it is an odd-degree monic
     prime congruent to a sampled nonsquare residue.  The ramification set
-    and the pair-family membership are verified before returning.
+    and the pair-family membership are verified before returning; a search
+    that finds no companion of degree <= degree_cap raises ValueError.
     """
     if place.is_infinite:
         raise ValueError("witness pairs are indexed by finite places")
@@ -159,10 +160,7 @@ def witness_pair(
             ram = delta(a, b)
             if ram.places == frozenset({place, inf}) and gamma_check(a, b, epsilon):
                 return WitnessPair(a, b, place, Place.finite(q_prime, trusted=True), epsilon)
-    raise RuntimeError(
-        f"no companion prime found below degree {cap} for {place} "
-        "(raise the degree cap)"
-    )
+    raise ValueError(f"no companion prime for {place} up to the degree cap {cap} (raise the cap)")
 
 
 # --- membership in the polynomial ring and its infinity companion ---

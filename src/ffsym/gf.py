@@ -306,6 +306,22 @@ class FieldElem:
     def inverse(self) -> "FieldElem":
         return FieldElem(self.field, self.field.inv(self.code))
 
+    @property
+    def is_zero(self) -> bool:
+        return self.code == 0
+
+    @property
+    def sign(self) -> int:
+        """The element as 0, 1 or -1 (1 first, so characteristic 2 reads 1);
+        ValueError for any other value, which is not quadratic."""
+        if self.code == 0:
+            return 0
+        if self.code == self.field.one_code:
+            return 1
+        if self.code == self.field.neg_one_code:
+            return -1
+        raise ValueError("value is not quadratic")
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             return self.code == self.field.elem(other).code

@@ -467,32 +467,10 @@ def _equal_degree_split(f: Poly, d: int, rng: Random) -> list[Poly]:
             return _equal_degree_split(w, d, rng) + _equal_degree_split(f // w, d, rng)
 
 
-class Factorization:
-    """Prime factorization: leading coefficient times monic prime powers."""
-
-    __slots__ = ("field", "lead_code", "factors")
-
-    def __init__(self, field: Field, lead_code: int, factors: Sequence[tuple[Poly, int]]):
-        self.field = field
-        self.lead_code = lead_code
-        self.factors = tuple(sorted(factors, key=lambda fm: fm[0].sort_key()))
-
-    def product(self) -> Poly:
-        acc = Poly.constant(self.field, FieldElem(self.field, self.lead_code))
-        for prime, mult in self.factors:
-            acc = acc * prime ** mult
-        return acc
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __repr__(self) -> str:
-        parts = " * ".join(f"({format_poly(p)})^{m}" for p, m in self.factors)
-        return f"{self.field.element_repr(self.lead_code)} * {parts or '1'}"
-
-
-def factor(f: Poly, rng: Random | None = None) -> Factorization:
-    """Factor f into monic irreducibles.
+def factor(f: Poly, rng: Random | None = None) -> tuple[tuple[Poly, int], ...]:
+    """The monic prime factorization of f: (P, multiplicity) pairs in
+    Poly.sort_key order, so that f is f.lead_code times the product of the
+    P^m.  The same form as places.divisor.
 
     Equal-degree splitting is randomized; the sorted factor multiset is
     canonical, so the output is independent of the seed.  A None rng uses a
@@ -501,14 +479,13 @@ def factor(f: Poly, rng: Random | None = None) -> Factorization:
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     rng = rng if rng is not None else Random(_FACTOR_SEED)
-    lead = f.lead_code
-    f = f.monic()
-    factors: list[tuple[Poly, int]] = []
-    for squarefree, mult in _squarefree_parts(f):
-        for prod, d in _distinct_degree(squarefree):
-            for prime in _equal_degree_split(prod, d, rng):
-                factors.append((prime, mult))
-    return Factorization(f.field, lead, factors)
+    factors = [
+        (prime, mult)
+        for squarefree, mult in _squarefree_parts(f.monic())
+        for prod, d in _distinct_degree(squarefree)
+        for prime in _equal_degree_split(prod, d, rng)
+    ]
+    return tuple(sorted(factors, key=lambda pm: pm[0].sort_key()))
 
 
 # --- enumeration and random sampling ---

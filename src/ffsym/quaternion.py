@@ -27,7 +27,7 @@ from .places import (
     val_at_least,
     valuation,
 )
-from .polyring import Poly, enumerate_residues, gcd, invmod, power_character
+from .polyring import Poly, enumerate_residues, invmod, power_character
 from .symbols import local_symbol
 
 SUMSET_MIN_FIELD_SIZE = 11  # trace sumsets cover the residue field only above this
@@ -321,15 +321,15 @@ def decompose_t_element(
     x: RatFunc,
     a: RatFunc,
     b: RatFunc,
-    bound: int = 3,
     rng: Random | None = None,
 ) -> tuple[RatFunc, RatFunc] | None:
     """Write x in T as s1 + s2 with both parts in S, verified before return.
 
     Candidates: the unconditional traces +-2 first, then constants, then an
-    interpolation targeting U-set residues at every ramified place, then
-    seeded random fractions with numerator/denominator degrees up to the
-    bound.  None means the bounded search was exhausted, not a disproof.
+    interpolation targeting U-set residues at every ramified place.  None
+    means the targeted construction found no residue pair (only possible
+    above 4,096 residues, where the pairs are drawn at random), not a
+    disproof.
     """
     field = x.field
     rng = rng if rng is not None else Random(0xD3C0)
@@ -359,22 +359,4 @@ def decompose_t_element(
             return out
 
     candidate = _targeted_candidate(x, d.sorted(), rng)
-    if candidate is not None:
-        out = verified(candidate)
-        if out is not None:
-            return out
-
-    finite_primes = [pl.prime for pl in d.sorted() if not pl.is_infinite]
-    for deg in range(1, bound + 1):
-        for _ in range(200):
-            den = Poly(field, [rng.randrange(field.q) for _ in range(deg)] + [1], trusted=True)
-            if any(gcd(den, p).degree != 0 for p in finite_primes):
-                continue
-            num = Poly(field, [rng.randrange(field.q) for _ in range(deg + 1)])
-            beta = RatFunc(num, den)
-            if beta.is_zero:
-                continue
-            out = verified(beta)
-            if out is not None:
-                return out
-    return None
+    return None if candidate is None else verified(candidate)

@@ -129,7 +129,7 @@ def criterion_4(seed: int) -> CriterionResult:
                 place = Place.finite(prime, trusted=True)
                 try:
                     wp = witness_pair(place, eps, _rng(seed, 4, str(prime)))
-                except RuntimeError:
+                except ValueError:  # the companion search gave up
                     bad += 1
                     continue
                 if wp.ramified.places != frozenset({place, inf}):
@@ -318,7 +318,7 @@ def criterion_12(seed: int) -> CriterionResult:
         if not t_member(x, wp.a, wp.b):
             continue
         sampled += 1
-        out = decompose_t_element(x, wp.a, wp.b, bound=3, rng=rng)
+        out = decompose_t_element(x, wp.a, wp.b, rng=rng)
         if out is None:
             continue
         s1, s2 = out

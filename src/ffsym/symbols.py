@@ -43,82 +43,6 @@ from .polyring import (
 )
 
 
-class SymbolValue:
-    """A symbol value: an n-th root of unity in F_q^x, or the zero marker.
-
-    Code 0 is the zero marker (the lower argument shared a prime with the
-    upper one); any other code is a field element with value^n = 1.
-    """
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
-
-    @classmethod
-    def zero(cls, field: Field) -> "SymbolValue":
-        return cls(field, 0)
-
-    @classmethod
-    def one(cls, field: Field) -> "SymbolValue":
-        return cls(field, field.one_code)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    @property
-    def value(self) -> FieldElem:
-        return FieldElem(self.field, self.code)
-
-    @property
-    def sign(self) -> int:
-        """The symbol as an integer in {-1, 0, 1} (quadratic case)."""
-        if self.code == 0:
-            return 0
-        if self.code == self.field.one_code:
-            return 1
-        if self.code == self.field.neg_one_code:
-            return -1
-        raise ValueError("symbol value is not quadratic")
-
-    def __mul__(self, other: "SymbolValue") -> "SymbolValue":
-        if self.code == 0 or other.code == 0:
-            return SymbolValue.zero(self.field)
-        return SymbolValue(self.field, self.field.mul(self.code, other.code))
-
-    def inverse(self) -> "SymbolValue":
-        if self.code == 0:
-            raise ZeroDivisionError("zero symbol has no inverse")
-        return SymbolValue(self.field, self.field.inv(self.code))
-
-    def __pow__(self, n: int) -> "SymbolValue":
-        if self.code == 0:
-            return SymbolValue.zero(self.field) if n > 0 else SymbolValue.one(self.field)
-        if n < 0:
-            return SymbolValue(self.field, self.field.pow_(self.field.inv(self.code), -n))
-        return SymbolValue(self.field, self.field.pow_(self.code, n))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            mapped = {0: 0, 1: self.field.one_code, -1: self.field.neg_one_code}
-            return other in mapped and self.code == mapped[other]
-        return (
-            isinstance(other, SymbolValue)
-            and self.field == other.field
-            and self.code == other.code
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.e, self.code))
-
-    def __repr__(self) -> str:
-        if self.code in (0, self.field.one_code, self.field.neg_one_code):
-            return str(self.sign)
-        return self.field.element_repr(self.code)
-
-
 def _require_root_order(field: Field, n: int) -> None:
     if n < 2:
         raise ValueError("symbol order n must be >= 2")
@@ -126,7 +50,7 @@ def _require_root_order(field: Field, n: int) -> None:
         raise ValueError(f"n = {n} does not divide q - 1 = {field.q - 1}")
 
 
-def residue_symbol(alpha: Poly, prime: Poly, n: int = 2) -> SymbolValue:
+def residue_symbol(alpha: Poly, prime: Poly, n: int = 2) -> FieldElem:
     """The n-th power residue symbol (alpha/P)_n.
 
     Zero when P | alpha, else the constant alpha^{(q^{deg P}-1)/n} mod P
@@ -136,10 +60,10 @@ def residue_symbol(alpha: Poly, prime: Poly, n: int = 2) -> SymbolValue:
     _require_root_order(field, n)
     if not prime.is_monic or prime.is_constant or not is_irreducible(prime):
         raise ValueError("lower argument must be a monic irreducible of positive degree")
-    return SymbolValue(field, power_character(alpha, prime, n))
+    return FieldElem(field, power_character(alpha, prime, n))
 
 
-def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> SymbolValue:
+def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> FieldElem:
     """(alpha/beta)_n over the monic prime factorization of beta.
 
     The leading coefficient of beta is ignored; constant beta gives the
@@ -150,9 +74,9 @@ def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> SymbolValue:
     _require_root_order(field, n)
     if beta.is_zero:
         raise ValueError("lower argument must be nonzero")
-    out = SymbolValue.one(field)
+    out = field.one
     for prime, mult in factor(beta):
-        out = out * SymbolValue(field, power_character(alpha, prime, n)) ** mult
+        out = out * FieldElem(field, power_character(alpha, prime, n)) ** mult
         if out.is_zero:
             return out
     return out
@@ -192,8 +116,7 @@ def check_general_reciprocity(alpha: Poly, beta: Poly, n: int = 2) -> Reciprocit
         raise ValueError("reciprocity needs nonzero arguments")
     if gcd(alpha, beta).degree != 0:
         raise ValueError("reciprocity needs coprime arguments")
-    lhs = (residue_symbol_general(alpha, beta, n)
-           * residue_symbol_general(beta, alpha, n).inverse())
+    lhs = residue_symbol_general(alpha, beta, n) / residue_symbol_general(beta, alpha, n)
     da = len(alpha.coeffs) - 1
     db = len(beta.coeffs) - 1
     rhs_code = field.one_code
@@ -201,10 +124,10 @@ def check_general_reciprocity(alpha: Poly, beta: Poly, n: int = 2) -> Reciprocit
         rhs_code = field.neg_one_code
     rhs_code = field.mul(rhs_code, field.pow_(sign_n(alpha, n).code, db))
     rhs_code = field.mul(rhs_code, field.inv(field.pow_(sign_n(beta, n).code, da)))
-    return ReciprocityCheck(lhs.value, FieldElem(field, rhs_code))
+    return ReciprocityCheck(lhs, FieldElem(field, rhs_code))
 
 
-def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> SymbolValue:
+def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> FieldElem:
     """The quadratic local symbol (alpha, beta)_v.
 
     With m == v(alpha) and k == v(beta) mod 2, and u_alpha, u_beta the
@@ -227,7 +150,7 @@ def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> SymbolValue:
         code = field.mul(code, residue_character(place, u_beta))
         if k % 2 and pow(field.q, place.residue_degree, 4) == 3:
             code = field.neg(code)
-    out = SymbolValue(field, code)
+    out = FieldElem(field, code)
     if out.sign == 0:
         raise AssertionError("local symbol of units cannot vanish")
     return out

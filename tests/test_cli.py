@@ -1,5 +1,7 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,16 +11,43 @@ from ffsym.cli import main
 F3_SYMBOL = ["symbol", "--q", "3", "--alpha", "t", "--prime", "t+1", "--n", "2"]
 
 
+def _readme_examples():
+    # the argv of each line of the README's CLI block, without the output
+    # format flags; selftest has its own CI step
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        argv = [arg for arg in shlex.split(line)[1:] if arg not in ("--json", "--csv")]
+        if argv[0] != "selftest":
+            examples.append(argv)
+    return examples
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
-def test_symbol_example(capsys):
-    code, out, _ = run(capsys, F3_SYMBOL)
+@pytest.mark.parametrize("argv, line", [
+    (F3_SYMBOL, "(t / t+1)_2 = -1"),
+    (["symbol", "--q", "13", "--alpha", "t^2+3", "--prime", "t+5", "--n", "4"],
+     "(t^2+3 / t+5)_4 = 8"),
+    (["symbol", "--q", "3^2", "--alpha", "t+[0,1]", "--prime", "t+[1]", "--n", "4"],
+     "(t+[0,1] / t+[1,0])_4 = [0,1]"),
+], ids=["F3", "F13", "F9"])
+def test_symbol_example(capsys, argv, line):
+    # a quadratic value prints as its sign, any other as its field element
+    code, out, _ = run(capsys, argv)
     assert code == 0
-    assert "-1" in out
+    assert out == line + "\n"
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_readme_example_runs_in_text_mode(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.strip()
 
 
 def test_symbol_json_envelope(capsys):
@@ -137,9 +166,10 @@ def test_json_determinism(capsys):
     (["uniformity", "--f", "t^10000", "--k", "1"], "MAX_AP_WORK"),
     (["ap-primes", "--f", "t", "--c", "1", "--k", "100000"], "MAX_AP_WORK"),
     (["ap-primes", "--f", "t", "--c", "1", "--k", "100"], "MAX_AP_WORK"),
+    (["witness", "--q", "3", "--prime", "t^2+1", "--degree-max", "0"], "degree cap 0"),
 ], ids=["criteria", "degree-max", "k", "samples", "q-3^40", "q-2^17", "q-65537", "alpha-degree",
         "sweep-q257", "sweep-degree", "uniformity-k", "uniformity-q13-deg7", "uniformity-deg",
-        "ap-primes-k", "ap-primes-search"])
+        "ap-primes-k", "ap-primes-search", "witness-cap"])
 def test_out_of_range_input_exits_2(capsys, argv, named):
     start = time.perf_counter()
     code, out, err = run(capsys, argv)

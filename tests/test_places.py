@@ -20,7 +20,8 @@ from ffsym.places import (
     valuation,
 )
 from ffsym.polyring import (
-    Poly, invmod, is_irreducible, monic_irreducibles, parse_poly, random_irreducible, random_poly,
+    Poly, factor, invmod, is_irreducible, monic_irreducibles, parse_poly, random_irreducible,
+    random_poly,
 )
 
 F3 = field_make(3)
@@ -156,6 +157,9 @@ def test_divisor_is_the_factored_form(p, e):
             stripped = _strip_prime(x.num, pr)[0] - _strip_prime(x.den, pr)[0]
             assert valuation(x, Place.finite(pr, trusted=True)) == stripped
             assert stripped == dict(div).get(pr, 0)
+        # a polynomial's divisor is its factorization: one factored form
+        if not x.num.is_constant:
+            assert divisor(RatFunc.from_poly(x.num)) == factor(x.num)
     with pytest.raises(ValueError):
         divisor(RatFunc.zero(field))
 

@@ -113,7 +113,10 @@ def test_factor_round_trip(p, e):
         # a repeated factor exercises the squarefree split
         f = f * random_poly(field, rng, 2, nonzero=True) ** 2
         fac = factor(f)
-        assert fac.product() == f
+        rebuilt = Poly(field, [f.lead_code])
+        for prime, mult in fac:
+            rebuilt = rebuilt * prime ** mult
+        assert rebuilt == f
         assert all(prime.is_monic and is_irreducible(prime) and mult >= 1
                    for prime, mult in fac)
 

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from ffsym.gf import field_make, smallest_nonsquare
+from ffsym.gf import FieldElem, field_make, smallest_nonsquare
 from ffsym.places import (
     Place,
     RatFunc,
@@ -37,7 +37,6 @@ from ffsym.polyring import (
 )
 from ffsym.quaternion import delta
 from ffsym.symbols import (
-    SymbolValue,
     _residue_walk,
     check_general_reciprocity,
     hilbert_product,
@@ -55,14 +54,21 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_symbol_value_semantics():
-    one = SymbolValue.one(F3)
-    zero = SymbolValue.zero(F3)
-    minus = SymbolValue(F3, F3.neg_one_code)
-    assert one.sign == 1 and minus.sign == -1 and zero.sign == 0
-    assert (one * minus) == -1
-    assert (zero * minus).is_zero
-    assert minus.inverse() == minus
-    assert (minus ** 2) == 1
+    # a symbol value is a field element; sign reads 0 and +-1 and checks 1
+    # before -1, so over F_4 (where -1 == 1) the sign of -1 is 1
+    for field in (F3, field_make(3, 2), field_make(2, 2)):
+        one, zero, minus = field.one, field.zero, field.neg_one
+        assert one.sign == 1 and zero.sign == 0
+        assert minus.sign == (1 if field.p == 2 else -1)
+        assert zero.is_zero and not one.is_zero and not minus.is_zero
+        assert (one * minus) == -1
+        assert (zero * minus).is_zero
+        assert minus.inverse() == minus
+        assert (minus ** 2) == 1
+        for code in range(2, field.q):
+            if code != field.neg_one_code:  # not quadratic: F_9 and F_4 have such codes
+                with pytest.raises(ValueError):
+                    FieldElem(field, code).sign
 
 
 def test_residue_symbol_examples():
@@ -104,7 +110,7 @@ def test_residue_symbol_general_trusts_factor(monkeypatch):
     pairs = [(random_poly(F5, rng, 3), random_poly(F5, rng, 3, nonzero=True)) for _ in range(60)]
     expected = []
     for alpha, beta in pairs:
-        value = SymbolValue.one(F5)
+        value = F5.one
         for prime, mult in factor(beta):
             value = value * residue_symbol(alpha, prime) ** mult
         expected.append(value)
