@@ -143,7 +143,7 @@ def _check_work(work: int, task: str, f: Poly, k: int) -> None:
 def check_search_work(f: Poly, k: int) -> None:
     """Raise ValueError naming MAX_AP_WORK when find_prime_in_ap(f, c, k)
     costs more than it allows: about k candidates until a prime turns up,
-    each a Rabin test of about k^3 log2(q) / 4 steps."""
+    each an irreducibility test of at most Rabin's k^3 log2(q) / 4 steps."""
     _check_work(k ** 4 * f.field.q.bit_length() // 4, "searching for a prime", f, k)
 
 

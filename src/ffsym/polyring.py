@@ -373,19 +373,11 @@ def character_table(prime: Poly, n: int = 2) -> list[int]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin's criterion over F_q.  Requires deg f >= 1."""
+    """Ben-Or's test: the distinct-degree walk of monic f finds no factor of
+    degree <= deg f / 2 (f need not be squarefree).  Requires deg f >= 1."""
     if f.is_zero or f.is_constant:
         raise ValueError("irreducibility is defined for positive degree only")
-    f = f.monic()
-    m = len(f.coeffs) - 1
-    if m == 1:
-        return True
-    q = f.field.q
-    x = Poly.t(f.field)
-    for ell in prime_divisors(m):
-        if gcd(powmod(x, q ** (m // ell), f) - x, f).degree != 0:
-            return False
-    return (powmod(x, q ** m, f) - x).is_zero
+    return next(_distinct_degree(f.monic()))[1] == len(f.coeffs) - 1
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -409,6 +401,8 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
             e *= field.p
             continue
         g = gcd(f, df)
+        if g.is_constant:  # f squarefree, the common case
+            return out + [(f, e)]
         w = f // g
         i = 1
         while not w.is_constant:
@@ -423,24 +417,21 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    # squarefree monic f -> [(product of degree-d irreducibles, d)]
+def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
+    # squarefree monic f -> (product of degree-d irreducibles, d); lazy in d
     q = f.field.q
-    x = Poly.t(f.field)
-    out = []
-    h = powmod(x, q, f)
+    x = h = Poly.t(f.field)
     d = 1
     while len(f.coeffs) - 1 >= 2 * d:
+        h = powmod(h, q, f)
         g = gcd(h - x, f)
         if g.degree != 0:
-            out.append((g, d))
+            yield g, d
             f = f // g
             h = h % f
         d += 1
-        h = powmod(h, q, f)
     if not f.is_constant:
-        out.append((f, len(f.coeffs) - 1))
-    return out
+        yield f, len(f.coeffs) - 1
 
 
 def _equal_degree_split(f: Poly, d: int, rng: Random) -> list[Poly]:

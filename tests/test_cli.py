@@ -167,9 +167,12 @@ def test_json_determinism(capsys):
     (["ap-primes", "--f", "t", "--c", "1", "--k", "100000"], "MAX_AP_WORK"),
     (["ap-primes", "--f", "t", "--c", "1", "--k", "100"], "MAX_AP_WORK"),
     (["witness", "--q", "3", "--prime", "t^2+1", "--degree-max", "0"], "degree cap 0"),
+    (["membership", "--target", "A", "--x", "1/t", "--samples", "10000000"], "MAX_SAMPLE_WORK"),
+    # 25,000 pairs over F_3 (2 bits) is the largest accepted request
+    (["membership", "--target", "AorAinf", "--x", "t", "--samples", "25001"], "MAX_SAMPLE_WORK"),
 ], ids=["criteria", "degree-max", "k", "samples", "q-3^40", "q-2^17", "q-65537", "alpha-degree",
         "sweep-q257", "sweep-degree", "uniformity-k", "uniformity-q13-deg7", "uniformity-deg",
-        "ap-primes-k", "ap-primes-search", "witness-cap"])
+        "ap-primes-k", "ap-primes-search", "witness-cap", "samples-limit", "samples-limit-edge"])
 def test_out_of_range_input_exits_2(capsys, argv, named):
     start = time.perf_counter()
     code, out, err = run(capsys, argv)

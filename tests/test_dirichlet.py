@@ -104,7 +104,7 @@ def test_ap_class_sum_identity():
 
 def brute_ap_counts(f, k):
     """Monic irreducibles of degree k binned by their residue mod f, by
-    enumeration and Rabin's test (the class mod f is the class mod monic(f))."""
+    enumeration and Ben-Or's test (the class mod f is the class mod monic(f))."""
     counts = Counter()
     if k >= 1:
         for g in enumerate_monic(f.field, k):

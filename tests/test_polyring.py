@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from ffsym import polyring
 from ffsym.dirichlet import pi_q
 from ffsym.gf import field_make
 from ffsym.polyring import (
@@ -21,6 +22,7 @@ from ffsym.polyring import (
     poly_index,
     power_character,
     powmod,
+    random_irreducible,
     random_poly,
     xgcd,
 )
@@ -186,13 +188,61 @@ def test_irreducible_counts_match_mobius():
             assert len(monic_irreducibles(field, k)) == pi_q(field.q, k)
 
 
-@pytest.mark.parametrize("q, e, max_deg", [(2, 1, 6), (3, 1, 6), (2, 2, 4), (5, 1, 4), (3, 2, 4)])
-def test_sieve_primes_match_rabin(q, e, max_deg):
-    # monic_irreducibles reads the sieve; Rabin's test is the oracle
+@pytest.mark.parametrize("q, e, max_deg", [(2, 1, 8), (3, 1, 6), (2, 2, 4), (5, 1, 4), (3, 2, 4),
+                                           (2, 3, 4), (5, 2, 3)])
+def test_is_irreducible_matches_sieve(q, e, max_deg):
+    # is_irreducible reads the first step of the Frobenius walk that factor
+    # also takes; the sieve (Eratosthenes, no Frobenius) is its oracle
     field = field_make(q, e)
     for k in range(1, max_deg + 1):
-        rabin = tuple(f for f in enumerate_monic(field, k) if is_irreducible(f))
-        assert monic_irreducibles(field, k) == rabin
+        primes = monic_irreducibles(field, k)
+        assert tuple(f for f in enumerate_monic(field, k) if is_irreducible(f)) == primes
+        if 2 * k <= max_deg:
+            # every prime factor at d = m/2, the last degree the walk tests:
+            # P^2 is not squarefree, P Q is
+            for prime, other in zip(primes, primes[1:] + primes[:1]):
+                assert not is_irreducible(prime * prime)
+                assert not is_irreducible(prime * other)
+
+
+def test_frobenius_walk_cost(monkeypatch):
+    # x^(q^d) mod f is raised once for each degree d the walk tests and
+    # never beyond: floor(m/2) powmods for an irreducible of degree m, one
+    # for an input with a linear factor, none for a linear input; and a
+    # squarefree input takes one gcd in _squarefree_parts
+    calls = {"powmod": 0, "gcd": 0}
+
+    def counted(name):
+        real = getattr(polyring, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(polyring, name, counted(name))
+
+    def count(name, fn, *args):
+        calls[name] = 0
+        fn(*args)
+        return calls[name]
+
+    for field in (field_make(2), F3, F9, field_make(2, 3), field_make(257)):
+        rng = Random(f"walk:{field.spec}")
+        linear = random_irreducible(field, rng, 1)
+        assert count("powmod", factor, linear) == 0
+        squarefree = linear
+        for m in range(1, 7):
+            prime = random_irreducible(field, rng, m)
+            assert count("powmod", is_irreducible, prime) == m // 2
+            assert count("powmod", is_irreducible, prime.scale(field.q - 1)) == m // 2
+            assert count("powmod", factor, prime) == m // 2
+            if m > 1:
+                cofactor = random_poly(field, rng, m - 1, monic=True, exact_deg=True)
+                assert count("powmod", is_irreducible, linear * cofactor) == 1
+                squarefree = squarefree * prime
+        assert count("gcd", polyring._squarefree_parts, squarefree) == 1
 
 
 @pytest.mark.parametrize("q, e, max_deg", [(3, 1, 4), (5, 1, 3), (3, 2, 3), (2, 3, 3)])
