@@ -84,8 +84,11 @@ class Field:
         primes = prime_divisors(n)
         g = next(c for c in range(1, q) if all(self._pow_slow(c, n // r) != 1 for r in primes))
         exp = [1]
-        for _ in range(n - 1):
-            exp.append(exp[-1] * g % p if self.is_prime_field else self._mul_slow(exp[-1], g))
+        if self.is_prime_field:
+            for _ in range(n - 1):
+                exp.append(exp[-1] * g % p)
+        else:
+            exp.extend(self._powers(g, n - 1))
         self._exp = exp + exp
         self._log = [-1] * q
         for k, code in enumerate(exp):
@@ -131,6 +134,34 @@ class Field:
                 for i in range(e):
                     prod[k - e + i] -= c * mod[i]
         return self._encode([c % p for c in prod[:e]])
+
+    def _powers(self, g: int, count: int) -> list[int]:
+        # the codes of g, g^2, ..., g^count in an extension field.  A code
+        # splits into halves x = lo + p^h hi of h = ceil(e/2) digits, and
+        # g x = g lo + (g y^h) hi: each term is read from a table of at most
+        # p^h products (by _mul_slow, kept as (hi, lo) halves), and the
+        # digit-wise sum of two halves from a table of p^(2h) sums, so a step
+        # costs four lookups
+        p, e = self.p, self.e
+        h = (e + 1) // 2
+        ph = p ** h
+        add = [0]  # add[a * p^k + b]: digit-wise sum of two k-digit codes
+        for k in range(h):
+            m, pm = p ** k, p ** (k + 1)
+            add = [(a + b) % p + p * add[a // p * m + b // p]
+                   for a in range(pm) for b in range(pm)]
+        gy = self._mul_slow(g, ph)  # ph is the code of y^h, as h < e
+        low = [divmod(self._mul_slow(g, c), ph) for c in range(ph)]
+        high = [divmod(self._mul_slow(gy, c), ph) for c in range(p ** (e - h))]
+        out = []
+        lo, hi = 1, 0
+        for _ in range(count):
+            a_hi, a_lo = low[lo]
+            b_hi, b_lo = high[hi]
+            lo = add[a_lo * ph + b_lo]
+            hi = add[a_hi * ph + b_hi]
+            out.append(lo + hi * ph)
+        return out
 
     def _pow_slow(self, a: int, n: int) -> int:
         result = self.one_code

@@ -299,7 +299,7 @@ def residue_inf(x: RatFunc) -> FieldElem:
 def residue_character(place: Place, r: Poly | int) -> int:
     """chi_v(r) for a unit-part residue r as square_class gives it, where
     chi_v is the quadratic character of the residue field (odd q): the code
-    of 1 or -1, by Euler's criterion."""
+    of 1 or -1, read from the norm of r (polyring.power_character)."""
     if place.is_infinite:
         return place.field.pow_(r, (place.field.q - 1) // 2)
     return power_character(r, place.prime)

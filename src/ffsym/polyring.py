@@ -302,7 +302,7 @@ def powmod(f: Poly, n: int, mod: Poly) -> Poly:
     f._check(mod)
     field = f.field
     d = len(mod.coeffs) - 1
-    # callers such as power_character hand in residues already reduced
+    # the Frobenius walk and character_table hand in residues already reduced
     base = list(f.coeffs if len(f.coeffs) <= d else (f % mod).coeffs)
     if d <= 1:  # every residue is a constant
         code = field.pow_(base[0] if base else 0, n)
@@ -320,17 +320,54 @@ def powmod(f: Poly, n: int, mod: Poly) -> Poly:
     return Poly(field, result, trusted=True)
 
 
+def _require_root_order(field: Field, n: int) -> None:
+    """ValueError unless n >= 2 divides q - 1: the n-th roots of unity of
+    F_q, where n-th power characters take their values."""
+    if n < 2:
+        raise ValueError("symbol order n must be >= 2")
+    if (field.q - 1) % n != 0:
+        raise ValueError(f"n = {n} does not divide q - 1 = {field.q - 1}")
+
+
 def power_character(r: Poly, prime: Poly, n: int = 2) -> int:
-    """Euler's criterion: the code of r^((q^deg P - 1)/n) mod P, or 0 when
-    P divides r.  P must be a monic irreducible and n must divide q - 1, so
-    that the power lands in the constants."""
-    r = r % prime
-    if r.is_zero:
+    """The code of r^((q^d - 1)/n) mod P for a monic irreducible P of
+    degree d, or 0 when P divides r: the n-th power character of r.
+
+    As (q^d - 1)/n = ((q^d - 1)/(q - 1)) ((q - 1)/n), it is read as
+    N(r)^((q - 1)/n) from the norm N(r mod P) = Res(P, r), which one
+    remainder sequence gives in O(d^2) field operations whatever q is.
+    ValueError unless n >= 2 divides q - 1 and P is monic of positive degree.
+    """
+    field = r.field
+    _require_root_order(field, n)
+    if not prime.is_monic or len(prime.coeffs) < 2:
+        raise ValueError("the modulus must be monic of positive degree")
+    a = list(prime.coeffs)
+    b = list(r.coeffs)
+    if len(b) >= len(a):
+        b = _reduce_codes(b, _reduction(prime), field)
+    while b and b[-1] == 0:
+        b.pop()
+    if not b:
         return 0
-    s = powmod(r, (r.field.q ** (len(prime.coeffs) - 1) - 1) // n, prime)
-    if len(s.coeffs) != 1:
-        raise AssertionError("residue symbol did not land in the constants")
-    return s.coeffs[0]
+    # Res(A, B) = (-1)^(deg A deg B) lc(B)^(deg A - deg C) Res(B, C) for
+    # C = A mod B, down to Res(A, b) = b^deg A for a constant b
+    norm = field.one_code
+    while len(b) > 1:
+        lead = b[-1]
+        c = _reduce_codes(a, (b[:-1], field.inv(lead)), field)
+        while c and c[-1] == 0:
+            c.pop()
+        if not c:
+            return 0
+        da, db = len(a) - 1, len(b) - 1
+        norm = field.mul(norm, field.pow_(lead, da - len(c) + 1))
+        if da * db % 2:
+            norm = field.neg(norm)
+        a, b = b, c
+    da = len(a) - 1
+    norm = field.mul(norm, field.pow_(b[0], da) if da > 1 else b[0])
+    return field.pow_(norm, (field.q - 1) // n)
 
 
 def poly_index(coeffs: Sequence[int], q: int, width: int) -> int:
@@ -348,8 +385,8 @@ def character_table(prime: Poly, n: int = 2) -> list[int]:
     enumerate_residues order.
 
     Walks the powers of the smallest residue g of order q^deg P - 1: with
-    zeta = power_character(g, P, n), g^i has character zeta^i, so each
-    residue costs one multiplication mod P instead of one powmod.
+    zeta = power_character(g, P, n), one norm, g^i has character zeta^i,
+    so each residue costs one multiplication mod P.
     """
     field = prime.field
     q, d = field.q, len(prime.coeffs) - 1

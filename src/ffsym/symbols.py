@@ -34,6 +34,7 @@ from .polyring import (
     Poly,
     _reduce_codes,
     _reduction,
+    _require_root_order,
     character_table,
     factor,
     gcd,
@@ -41,13 +42,6 @@ from .polyring import (
     poly_index,
     power_character,
 )
-
-
-def _require_root_order(field: Field, n: int) -> None:
-    if n < 2:
-        raise ValueError("symbol order n must be >= 2")
-    if (field.q - 1) % n != 0:
-        raise ValueError(f"n = {n} does not divide q - 1 = {field.q - 1}")
 
 
 def residue_symbol(alpha: Poly, prime: Poly, n: int = 2) -> FieldElem:

@@ -121,6 +121,31 @@ def test_field_arithmetic_matches_reference(p, e):
             assert mul(a, field.inv(a)) == field.one_code
 
 
+def test_tables_match_reference_build():
+    # _powers steps g^k by half-code tables; rebuild _exp, _log and _zech
+    # with one _mul_slow per power, and 1 + g^k by adding vectors, for every
+    # extension field with q <= 4096
+    fields = [(p, e) for p in range(2, 65) if gf.is_prime(p)
+              for e in range(2, 13) if p ** e <= 4096]
+    assert len(fields) == 40
+    for p, e in fields:
+        field = field_make(p, e)
+        n = field.q - 1
+        primes = gf.prime_divisors(n)
+        g = next(c for c in range(1, field.q)
+                 if all(field._pow_slow(c, n // r) != 1 for r in primes))
+        exp = [1]
+        for _ in range(n - 1):
+            exp.append(field._mul_slow(exp[-1], g))
+        log = [-1] * field.q
+        for k, code in enumerate(exp):
+            log[code] = k
+        one = field._decode(1)
+        zech = [log[field._encode([(x + y) % p for x, y in zip(one, field._decode(c))])]
+                for c in exp]
+        assert (field._exp, field._log, field._zech) == (exp + exp, log, zech), (p, e)
+
+
 @pytest.mark.parametrize("make", [
     lambda: field_make(3, 12),
     lambda: field_make(65537),

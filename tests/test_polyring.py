@@ -169,7 +169,7 @@ def test_enumerate_residues_follows_monic_order():
 
 
 def test_power_character_against_squares():
-    # Euler's criterion mod t on a table-less field vs enumerated squares
+    # the quadratic character mod t over F_{5^4} vs enumerated squares
     field = field_make(5, 4)
     t = Poly.t(field)
     squares = {field.mul(x, x) for x in range(field.q)}
@@ -180,6 +180,70 @@ def test_power_character_against_squares():
     # quartic character over F_9 mod an irreducible quadratic
     prime = parse_poly(F9, "t^2+[0,1]*t+[1,1]")
     assert power_character(parse_poly(F9, "t+[1,1]"), prime, 4) == F9.elem([0, 2]).code
+
+
+def _euler(r, prime, n):
+    # Euler's criterion, the oracle: r^((q^d - 1)/n) mod P as a code
+    s = powmod(r, (r.field.q ** prime.degree - 1) // n, prime)
+    return s.coeffs[0] if s.coeffs else 0
+
+
+@pytest.mark.parametrize("p, e, max_deg", [(3, 1, 3), (5, 1, 3), (7, 1, 3), (3, 2, 3), (2, 2, 3),
+                                           (2, 3, 3), (13, 1, 2), (5, 2, 2), (3, 3, 2)],
+                         ids=["F3", "F5", "F7", "F9", "F4", "F8", "F13", "F25", "F27"])
+def test_power_character_matches_euler(p, e, max_deg):
+    # the norm Res(P, r)^((q-1)/n) against Euler's criterion: every residue
+    # and a seeded sample of unreduced r (degree deg P to 2 deg P + 1), for
+    # every n >= 2 dividing q - 1; every prime while q^d <= 125, and above
+    # that the first, the last and two seeded primes of each degree
+    field = field_make(p, e)
+    rng = Random(f"euler:{field.spec}")
+    orders = [n for n in range(2, field.q) if (field.q - 1) % n == 0]
+    for d in range(1, max_deg + 1):
+        primes = monic_irreducibles(field, d)
+        if field.q ** d > 125:
+            primes = (primes[0], primes[-1]) + tuple(rng.sample(primes[1:-1], 2))
+        residues = list(enumerate_residues(field, d))
+        for prime in primes:
+            unreduced = [r + prime * random_poly(field, rng, d + 1, nonzero=True)
+                         for r in rng.sample(residues, min(len(residues), 12))]
+            for r in residues + unreduced + [prime * Poly.t(field)]:
+                for n in orders:
+                    assert power_character(r, prime, n) == _euler(r, prime, n), (r, prime, n)
+
+
+@pytest.mark.parametrize("p, e, orders", [(257, 1, (2, 4, 16, 256)), (65521, 1, (2, 3, 5, 7, 13, 65520)),
+                                          (3, 5, (2, 11, 22, 121, 242)), (5, 4, (2, 3, 8, 13, 624)),
+                                          (2, 8, (3, 5, 15, 17, 51, 85))],
+                         ids=["F257", "F65521", "F3^5", "F5^4", "F2^8"])
+def test_power_character_matches_euler_random(p, e, orders):
+    # seeded primes of degree 1 to 5 over fields with q > 200, each with a
+    # residue, an unreduced r and a multiple of P
+    field = field_make(p, e)
+    rng = Random(f"euler-random:{field.spec}")
+    for _ in range(12):
+        d = rng.randint(1, 5)
+        prime = random_irreducible(field, rng, d)
+        for r in (random_poly(field, rng, d - 1), random_poly(field, rng, 2 * d + 1),
+                  prime * random_poly(field, rng, 2, nonzero=True)):
+            for n in orders:
+                assert power_character(r, prime, n) == _euler(r, prime, n), (r, prime, n)
+
+
+def test_power_character_rejects_bad_order_and_modulus():
+    # n >= 2 must divide q - 1 (a floored (q - 1)/n would be silently
+    # wrong), and Res(P, r) is the norm only for monic P of positive degree
+    field = field_make(7)
+    prime = parse_poly(field, "t^2+1")
+    r = parse_poly(field, "t+3")
+    for n in (0, 1, 4, 5):
+        with pytest.raises(ValueError, match="n must be >= 2|does not divide"):
+            power_character(r, prime, n)
+    with pytest.raises(ValueError, match="does not divide"):
+        power_character(Poly.one(field_make(2, 3)), Poly.t(field_make(2, 3)), 2)
+    for modulus in (prime.scale(3), Poly.one(field), Poly.constant(field, 2), Poly.zero(field)):
+        with pytest.raises(ValueError, match="monic of positive degree"):
+            power_character(r, modulus, 2)
 
 
 def test_irreducible_counts_match_mobius():
@@ -313,7 +377,8 @@ def test_powmod_matches_naive():
 
 
 def test_powmod_of_a_residue_divides_nothing(monkeypatch):
-    # power_character hands powmod residues already reduced mod P
+    # the Frobenius walk, equal-degree splitting and character_table's order
+    # test hand powmod residues already reduced mod P
     field = field_make(3, 2)
     rng = Random("powmod-reduced")
     cases = []

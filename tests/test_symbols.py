@@ -332,6 +332,35 @@ def test_local_path_inverts_nothing(p, e, monkeypatch):
     assert run() == expected
 
 
+@pytest.mark.parametrize("p,e", [(257, 1), (3, 5)])
+def test_characters_raise_no_power(p, e, monkeypatch):
+    # a character is read from the norm Res(P, r): power_character,
+    # residue_character and local_symbol on fresh pairs make no powmod
+    field = field_make(p, e)
+    rng = Random(f"no-powmod:{p}^{e}")
+    primes = [random_irreducible(field, rng, d) for d in (1, 2, 3, 4) for _ in range(3)]
+    pairs = [(random_ratfunc(field, rng, 3), random_ratfunc(field, rng, 3)) for _ in range(12)]
+    residues = [random_poly(field, rng, 6) for _ in range(12)]
+    calls = []
+
+    def counting_powmod(f, n, mod):
+        calls.append(n)
+        return powmod(f, n, mod)
+
+    powmod = polyring.powmod
+    monkeypatch.setattr(polyring, "powmod", counting_powmod)
+    for prime in primes:
+        place = Place.finite(prime, trusted=True)
+        for r in residues:
+            power_character(r, prime, 2)
+            places.residue_character(place, r % prime)
+        for alpha, beta in pairs:
+            local_symbol(alpha, beta, place)
+    for alpha, beta in pairs:
+        local_symbol(alpha, beta, Place.infinite(field))
+    assert calls == []
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (257, 1), (3, 2), (3, 5)])
 def test_local_path_factors_each_fraction_once(p, e, monkeypatch):
     # hilbert_product then delta read one cached divisor per fraction:
