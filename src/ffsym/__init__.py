@@ -36,11 +36,9 @@ from .places import (
     valuation,
 )
 from .symbols import (
-    HilbertResult,
     ReciprocityCheck,
     SweepResult,
     check_general_reciprocity,
-    hilbert_product,
     local_symbol,
     reciprocity_sweep,
     residue_symbol,
@@ -49,10 +47,12 @@ from .symbols import (
 )
 from .quaternion import (
     EmptyRamificationError,
+    HilbertResult,
     RamificationSet,
     USet,
     decompose_t_element,
     delta,
+    hilbert_product,
     i_c_member,
     in_u_residue,
     jacobson_member,

@@ -32,6 +32,7 @@ from .places import Place, parse_place, parse_ratfunc, valuation
 from .polyring import parse_poly
 from .quaternion import (
     delta,
+    hilbert_product,
     i_c_member,
     jacobson_member,
     parity_class_member,
@@ -41,7 +42,7 @@ from .quaternion import (
     t_unit_member,
     u_set,
 )
-from .symbols import hilbert_product, local_symbol, reciprocity_sweep, residue_symbol
+from .symbols import local_symbol, reciprocity_sweep, residue_symbol
 
 
 class UsageError(ValueError):

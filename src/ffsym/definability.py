@@ -16,8 +16,8 @@ from random import Random
 
 from .dirichlet import find_prime_in_ap
 from .gf import Field, FieldElem, smallest_nonsquare
-from .places import Place, RatFunc, divisor, random_ratfunc, square_class, valuation
-from .polyring import Poly, power_character, random_irreducible
+from .places import Place, RatFunc, divisor, square_class_inf, valuation
+from .polyring import Poly, power_character, random_irreducible, random_poly
 from .quaternion import RamificationSet, delta, r_tilde_member
 
 DEFAULT_WITNESS_DEGREE_SLACK = 6
@@ -61,8 +61,12 @@ def inf_square_class(c: RatFunc) -> InfSquareClass:
     if c.is_zero:
         raise ValueError("square class of zero is undefined")
     _require_odd(c.field)
-    w, r = square_class(c, Place.infinite(c.field))
-    if c.field.is_square_code(r):
+    return _class_at_inf(c.num, c.den)
+
+
+def _class_at_inf(num: Poly, den: Poly) -> InfSquareClass:
+    w, r = square_class_inf(num, den)
+    if num.field.is_square_code(r):
         return InfSquareClass.INV_T_TIMES_SQUARE if w % 2 else InfSquareClass.SQUARE
     return (
         InfSquareClass.NONSQUARE_INV_T_TIMES_SQUARE
@@ -90,7 +94,10 @@ def gamma_check(a: RatFunc, b: RatFunc, epsilon: FieldElem | None = None) -> boo
     field = a.field
     _require_odd(field)
     _check_epsilon(field, epsilon)
-    ca, cb = inf_square_class(a), inf_square_class(b)
+    return _in_d(inf_square_class(a), inf_square_class(b))
+
+
+def _in_d(ca: InfSquareClass, cb: InfSquareClass) -> bool:
     h_sq = InfSquareClass.NONSQUARE_TIMES_SQUARE
     return (ca is h_sq and cb in _ODD_AT_INF) or (cb is h_sq and ca in _ODD_AT_INF)
 
@@ -214,7 +221,12 @@ def sample_d_pairs(
     max_deg: int = 2,
 ) -> list[tuple[RatFunc, RatFunc, str]]:
     """Pairs from the family D: constructed witness pairs mixed with
-    rejection-sampled random pairs accepted by the membership formula."""
+    rejection-sampled random pairs accepted by the membership formula.
+
+    A random pair is drawn as random_ratfunc would draw it (a.num, a.den,
+    b.num, b.den), and D is decided on the draws' classes at infinity before
+    anything is reduced: only an accepted pair is built as two RatFuncs."""
+    _check_epsilon(field, epsilon)  # raises for even q as well
     pairs: list[tuple[RatFunc, RatFunc, str]] = []
     while len(pairs) < count:
         if rng.random() < 0.5:
@@ -223,12 +235,10 @@ def sample_d_pairs(
             pairs.append((wp.a, wp.b, "witness"))
         else:
             for _ in range(200):
-                a = random_ratfunc(field, rng, max_deg)
-                b = random_ratfunc(field, rng, max_deg)
-                if a.is_zero or b.is_zero:
-                    continue
-                if gamma_check(a, b, epsilon):
-                    pairs.append((a, b, "random"))
+                a_num, a_den, b_num, b_den = (random_poly(field, rng, max_deg, nonzero=True)
+                                              for _ in range(4))
+                if _in_d(_class_at_inf(a_num, a_den), _class_at_inf(b_num, b_den)):
+                    pairs.append((RatFunc(a_num, a_den), RatFunc(b_num, b_den), "random"))
                     break
     return pairs
 

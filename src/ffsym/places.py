@@ -270,9 +270,15 @@ def square_class(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
     if x.is_zero:
         raise ValueError("zero has no unit part")
     if place.is_infinite:
-        w = 2 - len(x.num.coeffs) - len(x.den.coeffs)
-        return w, x.field.mul(x.num.lead_code, x.den.lead_code)
+        return square_class_inf(x.num, x.den)
     return _strip_prime(x.num * x.den, place.prime)
+
+
+def square_class_inf(num: Poly, den: Poly) -> tuple[int, int]:
+    """square_class at infinity of num/den, reduced or not: cancelling a
+    common factor g moves w by 2 deg g and r by lead(g)^2, and making den
+    monic scales r by a square, so neither changes the class."""
+    return 2 - len(num.coeffs) - len(den.coeffs), num.field.mul(num.lead_code, den.lead_code)
 
 
 def residue(x: RatFunc, place: Place) -> Poly:

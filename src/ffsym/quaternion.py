@@ -3,7 +3,9 @@ valuation-theoretic membership predicates built on them.
 
 Delta(a, b) is the finite even-sized set of places where H_{a,b} is
 ramified, i.e. where the quadratic local symbol (a, b)_v is -1; it is
-contained in the odd-valuation support of the pair.  The trace set S, its
+contained in the odd-valuation support of the pair.  The Hilbert product
+formula says that |Delta| is even; hilbert_product is the sign vector of
+the one cached Delta over the joint support.  The trace set S, its
 sumset T = S + S, the unit group of T, the even-valuation classes, the
 Jacobson radical and the union-of-valuation-rings set R~ all reduce to
 valuation conditions over Delta(a, b).
@@ -24,6 +26,7 @@ from .places import (
     residue,
     residue_inf,
     sorted_places,
+    support,
     val_at_least,
     valuation,
 )
@@ -79,6 +82,33 @@ def delta(a: RatFunc, b: RatFunc) -> RamificationSet:
     if a.field.q % 2 == 0:
         raise ValueError("quaternion ramification requires odd q")
     return _delta_cached(a, b)
+
+
+@dataclass(frozen=True)
+class HilbertResult:
+    per_place: tuple[tuple[Place, int], ...]  # canonical place order, signs
+    product: int
+
+    @property
+    def passed(self) -> bool:
+        return self.product == 1
+
+    def as_dict(self) -> dict:
+        return {str(place): sign for place, sign in self.per_place}
+
+
+def hilbert_product(alpha: RatFunc, beta: RatFunc) -> HilbertResult:
+    """Local symbols over the joint support plus infinity, and their product.
+
+    The sign is -1 exactly on Delta(alpha, beta): outside the joint odd
+    support both valuations are even and the tame symbol
+    chi(-1)^{mk} chi(u_alpha)^k chi(u_beta)^m is 1 (see local_symbol)."""
+    if alpha.is_zero or beta.is_zero:
+        raise ValueError("product formula needs nonzero arguments")
+    ramified = delta(alpha, beta).places
+    places = support(alpha) | support(beta) | {Place.infinite(alpha.field)}
+    rows = tuple((place, -1 if place in ramified else 1) for place in sorted_places(places))
+    return HilbertResult(rows, (-1) ** len(ramified))
 
 
 def _require_delta(a: RatFunc, b: RatFunc) -> RamificationSet:

@@ -23,13 +23,14 @@ from .polyring import Poly, enumerate_residues, monic_irreducibles, parse_poly
 from .quaternion import (
     decompose_t_element,
     delta,
+    hilbert_product,
     jacobson_member,
     r_tilde_member,
     s_global_member,
     t_member,
     u_set,
 )
-from .symbols import hilbert_product, local_symbol, reciprocity_sweep, residue_symbol
+from .symbols import local_symbol, reciprocity_sweep, residue_symbol
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Power residue symbols, the general reciprocity law, local symbols at
-every place of F_q(t), and the product formula over all places.
+"""Power residue symbols, the general reciprocity law and local symbols at
+every place of F_q(t); the product formula over all places is in quaternion.
 
 The quadratic local symbol at a place v with residue degree h is
 
@@ -21,14 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .gf import Field, FieldElem
-from .places import (
-    Place,
-    RatFunc,
-    residue_character,
-    sorted_places,
-    square_class,
-    support,
-)
+from .places import Place, RatFunc, residue_character, square_class
 from .polyring import (
     MonicSieve,
     Poly,
@@ -148,38 +141,6 @@ def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> FieldElem:
     if out.sign == 0:
         raise AssertionError("local symbol of units cannot vanish")
     return out
-
-
-@dataclass(frozen=True)
-class HilbertResult:
-    per_place: tuple[tuple[Place, int], ...]  # canonical place order, signs
-    product: int
-
-    @property
-    def passed(self) -> bool:
-        return self.product == 1
-
-    def as_dict(self) -> dict:
-        return {str(place): sign for place, sign in self.per_place}
-
-
-def hilbert_product(alpha: RatFunc, beta: RatFunc) -> HilbertResult:
-    """Local symbols over the joint support plus infinity, and their product.
-
-    At every excluded place both valuations vanish, so every factor of the
-    tame symbol is 1; the finite candidate set is exhaustive.
-    """
-    if alpha.is_zero or beta.is_zero:
-        raise ValueError("product formula needs nonzero arguments")
-    places = set(support(alpha)) | set(support(beta))
-    places.add(Place.infinite(alpha.field))
-    rows = []
-    prod = 1
-    for place in sorted_places(places):
-        s = local_symbol(alpha, beta, place).sign
-        rows.append((place, s))
-        prod *= s
-    return HilbertResult(tuple(rows), prod)
 
 
 # --- exhaustive reciprocity sweep --------------------------------------

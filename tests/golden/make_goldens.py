@@ -76,6 +76,10 @@ CASES = {
     "delta_fractions_13": ["delta", "--q", "13", "--a", "2*t^3+1/t^2+t+7", "--b", "t+5/t^4+2"],
     "local_symbol_fractions_257": ["local-symbol", "--q", "257", "--alpha", "3/t^3",
                                    "--beta", "t+1/t", "--place", "t"],
+    # t^2 (t+1) and t^2 (t+4): both valuations are even at t, a place of the
+    # joint support outside the odd support; Delta is {t+1, t+4}
+    "hilbert_even_valuations_5": ["hilbert", "--q", "5", "--alpha", "t^3+t^2",
+                                  "--beta", "t^3+4*t^2"],
 }
 
 

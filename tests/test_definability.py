@@ -16,7 +16,7 @@ from ffsym.definability import (
 )
 from ffsym.gf import FieldElem, field_make, smallest_nonsquare
 from ffsym.places import Place, RatFunc, parse_ratfunc, random_ratfunc, valuation
-from ffsym.polyring import Poly, monic_irreducibles, parse_poly
+from ffsym.polyring import Poly, gcd, monic_irreducibles, parse_poly, random_irreducible
 from ffsym.symbols import local_symbol
 
 F3 = field_make(3)
@@ -146,6 +146,46 @@ def test_sample_d_pairs_accepted_by_gamma():
         for a, b, source in pairs:
             assert source in ("witness", "random")
             assert gamma_check(a, b, eps)
+
+
+def _sample_d_pairs_reference(field, epsilon, count, rng, max_prime_deg=2, max_deg=2):
+    # the loop sample_d_pairs replaced: reduce both fractions, then decide D
+    pairs = []
+    while len(pairs) < count:
+        if rng.random() < 0.5:
+            prime = random_irreducible(field, rng, rng.randint(1, max_prime_deg))
+            wp = witness_pair(Place.finite(prime, trusted=True), epsilon, rng)
+            pairs.append((wp.a, wp.b, "witness"))
+        else:
+            for _ in range(200):
+                a = random_ratfunc(field, rng, max_deg)
+                b = random_ratfunc(field, rng, max_deg)
+                if gamma_check(a, b, epsilon):
+                    pairs.append((a, b, "random"))
+                    break
+    return pairs
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (257, 1)])
+def test_sample_d_pairs_keeps_the_stream(p, e):
+    # deciding D on the unreduced draws' classes at infinity returns the
+    # same pairs and leaves the generator where the reduce-first loop did
+    field = field_make(p, e)
+    eps = smallest_nonsquare(field)
+    randoms = 0
+    for seed in range(3):
+        for max_deg in (1, 2, 3):
+            rng, ref_rng = Random(f"stream:{seed}"), Random(f"stream:{seed}")
+            pairs = sample_d_pairs(field, eps, 8, rng, max_deg=max_deg)
+            assert pairs == _sample_d_pairs_reference(field, eps, 8, ref_rng, max_deg=max_deg)
+            assert rng.getstate() == ref_rng.getstate()
+            for a, b, source in pairs:
+                assert gamma_check(a, b, eps)
+                if source == "random":
+                    randoms += 1
+                    for x in (a, b):
+                        assert x.den.is_monic and gcd(x.num, x.den).degree == 0
+    assert randoms > 0
 
 
 def test_theorem_membership_examples():

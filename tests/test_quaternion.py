@@ -4,12 +4,23 @@ import pytest
 
 from ffsym.definability import witness_pair
 from ffsym.gf import field_make, smallest_nonsquare
-from ffsym.places import Place, RatFunc, odd_support, parse_ratfunc, random_ratfunc, support, valuation
-from ffsym.polyring import Poly, monic_irreducibles, parse_poly
+from ffsym import places, quaternion
+from ffsym.places import (
+    Place,
+    RatFunc,
+    odd_support,
+    parse_ratfunc,
+    random_ratfunc,
+    sorted_places,
+    support,
+    valuation,
+)
+from ffsym.polyring import Poly, monic_irreducibles, parse_poly, random_irreducible
 from ffsym.quaternion import (
     EmptyRamificationError,
     decompose_t_element,
     delta,
+    hilbert_product,
     i_c_member,
     in_u_residue,
     jacobson_member,
@@ -22,7 +33,7 @@ from ffsym.quaternion import (
     u_set,
 )
 from ffsym.places import is_square_local
-from ffsym.symbols import hilbert_product, local_symbol
+from ffsym.symbols import local_symbol
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -71,6 +82,53 @@ def test_delta_inside_odd_support():
             for pl in even_places[:2]:
                 checked += 1
                 assert local_symbol(a, b, pl).sign == 1
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (257, 1), (3, 2), (3, 5), (5, 4)])
+def test_hilbert_product_matches_local_symbols(p, e):
+    # hilbert_product reads its signs off Delta; each one must be the local
+    # symbol evaluated directly, also where both valuations are even
+    field = field_make(p, e)
+    rng = Random(f"hilbert-oracle:{p}^{e}")
+    inf = Place.infinite(field)
+    even_places = 0
+    for _ in range(12):
+        square = RatFunc.from_poly(random_irreducible(field, rng, rng.randint(1, 2))) ** 2
+        a = random_ratfunc(field, rng, 2) * square
+        b = random_ratfunc(field, rng, 2) * (square if rng.random() < 0.5 else RatFunc.one(field))
+        res = hilbert_product(a, b)
+        joint = support(a) | support(b)
+        assert [place for place, _ in res.per_place] == sorted_places(joint | {inf})
+        for place, sign in res.per_place:
+            assert sign == local_symbol(a, b, place).sign
+        even_places += len(joint - odd_support(a) - odd_support(b) - {inf})
+        assert res.product == 1
+    assert even_places > 0
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (257, 1), (3, 2), (3, 5)])
+def test_hilbert_product_evaluates_each_symbol_once(p, e, monkeypatch):
+    # hilbert_product evaluates the local symbol once per place of the joint
+    # odd support, and the delta after it reads the cached Delta
+    field = field_make(p, e)
+    rng = Random(f"symbols-once:{p}^{e}")
+    pairs = [(random_ratfunc(field, rng, 3), random_ratfunc(field, rng, 3)) for _ in range(20)]
+    calls = []
+
+    def counting_local_symbol(a, b, place):
+        calls.append(place)
+        return local_symbol(a, b, place)
+
+    monkeypatch.setattr(quaternion, "local_symbol", counting_local_symbol)
+    for a, b in pairs:
+        places.divisor.cache_clear()
+        quaternion._delta_cached.cache_clear()
+        calls.clear()
+        hilbert_product(a, b)
+        assert sorted_places(calls) == sorted_places(odd_support(a) | odd_support(b))
+        calls.clear()
+        delta(a, b)
+        assert calls == []
 
 
 def test_delta_square_scaling_invariance():

@@ -35,11 +35,10 @@ from ffsym.polyring import (
     random_irreducible,
     random_poly,
 )
-from ffsym.quaternion import delta
+from ffsym.quaternion import delta, hilbert_product
 from ffsym.symbols import (
     _residue_walk,
     check_general_reciprocity,
-    hilbert_product,
     local_symbol,
     reciprocity_sweep,
     residue_symbol,
