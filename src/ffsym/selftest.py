@@ -18,7 +18,7 @@ from .definability import (
 )
 from .dirichlet import pi_q, uniformity_report
 from .gf import field_make, smallest_nonsquare
-from .places import Place, RatFunc, random_ratfunc
+from .places import Place, RatFunc, random_ratfunc, sorted_places, support
 from .polyring import Poly, enumerate_residues, monic_irreducibles, parse_poly
 from .quaternion import (
     decompose_t_element,
@@ -70,16 +70,21 @@ def criterion_1(seed: int) -> CriterionResult:
 
 
 def criterion_2(seed: int) -> CriterionResult:
-    """Product of local symbols over all places equals 1."""
+    """Product of local symbols over all places equals 1, each symbol
+    evaluated directly at every place of the joint support and infinity."""
     start = time.monotonic()
     bad = 0
     for q in (3, 5, 7, 13):
         field = field_make(q)
+        inf = Place.infinite(field)
         rng = _rng(seed, 2, str(q))
         for _ in range(1000):
             alpha = random_ratfunc(field, rng, 5)
             beta = random_ratfunc(field, rng, 5)
-            if hilbert_product(alpha, beta).product != 1:
+            result = hilbert_product(alpha, beta)
+            places = sorted_places(support(alpha) | support(beta) | {inf})
+            direct = tuple((place, local_symbol(alpha, beta, place).sign) for place in places)
+            if result.product != 1 or result.per_place != direct:
                 bad += 1
     elapsed = time.monotonic() - start
     passed = bad == 0 and elapsed < 60.0
@@ -282,7 +287,8 @@ def criterion_10(seed: int) -> CriterionResult:
                 bad.append(f"count q={q} k={k}")
     for q in (3, 5, 7, 9, 13):
         for k in range(1, 7):
-            if abs(pi_q(q, k) - q ** k / k) > 2 * q ** (k / 2) / k:
+            # |pi - q^k/k| <= 2 q^(k/2)/k, squared and times k^2: exact in integers
+            if (k * pi_q(q, k) - q ** k) ** 2 > 4 * q ** k:
                 bad.append(f"tail q={q} k={k}")
     return CriterionResult(
         10, "prime counts", not bad,
@@ -296,8 +302,11 @@ def criterion_11(seed: int) -> CriterionResult:
     start = time.monotonic()
     field = field_make(13)
     report = uniformity_report(parse_poly(field, "t"), 3)
+    # |n / (pi/Phi) - 1| <= 1/2 for each class count n, times 2 pi: exact in integers
+    within = all(abs(2 * row.count * report.phi_f - 2 * report.pi_k) <= report.pi_k
+                 for row in report.rows)
     elapsed = time.monotonic() - start
-    passed = report.max_deviation <= 0.5 and elapsed < 10.0
+    passed = within and elapsed < 10.0
     return CriterionResult(
         11, "progression uniformity", passed,
         f"max relative deviation {report.max_deviation:.4f} (bound 0.5)", elapsed,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .gf import Field, FieldElem
 from .places import Place, RatFunc, residue_character, square_class
 from .polyring import (
-    MonicSieve,
     Poly,
     _reduce_codes,
     _reduction,
@@ -32,6 +31,7 @@ from .polyring import (
     factor,
     gcd,
     is_irreducible,
+    monic_sieve,
     poly_index,
     power_character,
 )
@@ -225,8 +225,9 @@ def reciprocity_sweep(field: Field, max_deg: int, n: int = 2) -> SweepResult:
     q = field.q
 
     # monic parts from the sieve; factorizations as (prime position, multiplicity)
-    sieve = MonicSieve(field, max_deg)
-    monics = sieve.monics
+    sieve = monic_sieve(field)
+    sieve.grow(max_deg)
+    monics = [sieve.monic(h) for h in range(sieve.start(max_deg + 1))]
     prime_idx = [h for h in range(1, len(monics)) if sieve.least[h] == h]
     primes = [monics[h] for h in prime_idx]
     pos = {h: i for i, h in enumerate(prime_idx)}

@@ -7,11 +7,16 @@ from ffsym import definability, dirichlet, places, polyring, quaternion, symbols
 LAYERS = (polyring, places, symbols, quaternion, definability, dirichlet)
 
 
-@pytest.fixture(autouse=True)
-def clear_layer_caches():
-    """Start every test with empty layer caches, so that call counts and
-    cache-dependent paths do not depend on which tests ran before."""
+def clear_caches():
+    """Empty every lru_cache in the layer modules."""
     for module in LAYERS:
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
                 obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def clear_layer_caches():
+    """Start every test with empty layer caches, so that call counts and
+    cache-dependent paths do not depend on which tests ran before."""
+    clear_caches()

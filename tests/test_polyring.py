@@ -7,6 +7,7 @@ from ffsym.dirichlet import pi_q
 from ffsym.gf import field_make
 from ffsym.polyring import (
     NEG_INF,
+    SIEVE_CAP,
     MonicSieve,
     Poly,
     character_table,
@@ -18,6 +19,7 @@ from ffsym.polyring import (
     invmod,
     is_irreducible,
     monic_irreducibles,
+    monic_sieve,
     parse_poly,
     poly_index,
     power_character,
@@ -255,18 +257,19 @@ def test_irreducible_counts_match_mobius():
 @pytest.mark.parametrize("q, e, max_deg", [(2, 1, 8), (3, 1, 6), (2, 2, 4), (5, 1, 4), (3, 2, 4),
                                            (2, 3, 4), (5, 2, 3)])
 def test_is_irreducible_matches_sieve(q, e, max_deg):
-    # is_irreducible reads the first step of the Frobenius walk that factor
+    # Ben-Or's test reads the first step of the Frobenius walk that factor
     # also takes; the sieve (Eratosthenes, no Frobenius) is its oracle
     field = field_make(q, e)
+    walk = polyring._walk_is_irreducible
     for k in range(1, max_deg + 1):
         primes = monic_irreducibles(field, k)
-        assert tuple(f for f in enumerate_monic(field, k) if is_irreducible(f)) == primes
+        assert tuple(f for f in enumerate_monic(field, k) if walk(f)) == primes
         if 2 * k <= max_deg:
             # every prime factor at d = m/2, the last degree the walk tests:
             # P^2 is not squarefree, P Q is
             for prime, other in zip(primes, primes[1:] + primes[:1]):
-                assert not is_irreducible(prime * prime)
-                assert not is_irreducible(prime * other)
+                assert not walk(prime * prime)
+                assert not walk(prime * other)
 
 
 def test_frobenius_walk_cost(monkeypatch):
@@ -292,19 +295,20 @@ def test_frobenius_walk_cost(monkeypatch):
         fn(*args)
         return calls[name]
 
+    walk_factor, walk_is_irreducible = polyring._walk_factor, polyring._walk_is_irreducible
     for field in (field_make(2), F3, F9, field_make(2, 3), field_make(257)):
         rng = Random(f"walk:{field.spec}")
         linear = random_irreducible(field, rng, 1)
-        assert count("powmod", factor, linear) == 0
+        assert count("powmod", walk_factor, linear) == 0
         squarefree = linear
         for m in range(1, 7):
             prime = random_irreducible(field, rng, m)
-            assert count("powmod", is_irreducible, prime) == m // 2
-            assert count("powmod", is_irreducible, prime.scale(field.q - 1)) == m // 2
-            assert count("powmod", factor, prime) == m // 2
+            assert count("powmod", walk_is_irreducible, prime) == m // 2
+            assert count("powmod", walk_is_irreducible, prime.scale(field.q - 1)) == m // 2
+            assert count("powmod", walk_factor, prime) == m // 2
             if m > 1:
                 cofactor = random_poly(field, rng, m - 1, monic=True, exact_deg=True)
-                assert count("powmod", is_irreducible, linear * cofactor) == 1
+                assert count("powmod", walk_is_irreducible, linear * cofactor) == 1
                 squarefree = squarefree * prime
         assert count("gcd", polyring._squarefree_parts, squarefree) == 1
 
@@ -315,17 +319,119 @@ def test_sieve_factorizations_match_factor(q, e, max_deg):
     field = field_make(q, e)
     sieve = MonicSieve(field, max_deg)
     monics = [f for k in range(max_deg + 1) for f in enumerate_monic(field, k)]
-    assert sieve.monics == monics
+    assert [sieve.monic(h) for h in range(len(sieve.least))] == monics
     for h, f in enumerate(monics):
         k = len(f.coeffs) - 1
         assert h == (field.q ** k - 1) // (field.q - 1) + poly_index(f.coeffs, field.q, k)
         got = sieve.factor_indices(h)
-        expected = factor(f)
+        expected = polyring._walk_factor(f)
         assert sorted(((monics[i], m) for i, m in got), key=lambda fm: fm[0].sort_key()) == list(expected)
         if h:
             least = monics[sieve.least[h]]
             assert least.degree == min(prime.degree for prime, _ in expected)
             assert least * monics[sieve.cofactor[h]] == f
+
+
+# F_4 and F_8 reach the cap exactly, at degrees 6 and 4, as F_2 does at 12
+SIEVE_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (13, 1)]
+
+
+def _cap_degree(field):
+    # the top degree of the field's sieve table
+    k = 0
+    while field.q ** (k + 1) <= SIEVE_CAP:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p, e", SIEVE_FIELDS, ids=[f"F{p ** e}" for p, e in SIEVE_FIELDS])
+def test_sieve_table_matches_walk(p, e):
+    # factor and is_irreducible read the table on every monic it holds.  The
+    # walk's verdict is checked on each, so a table factorization into
+    # primes that multiply back to f is the walk's by unique factorization;
+    # a seeded sample is also compared with the walk's output outright
+    field = field_make(p, e)
+    top = _cap_degree(field)
+    walk_factor, walk_is_irreducible = polyring._walk_factor, polyring._walk_is_irreducible
+    for k in range(top + 1):
+        for f in enumerate_monic(field, k):
+            fac = factor(f)
+            assert _rebuild(f, fac) == f
+            assert [prime.sort_key() for prime, _ in fac] == sorted({prime.sort_key() for prime, _ in fac})
+            assert all(is_irreducible(prime) for prime, _ in fac)
+            if k:
+                assert is_irreducible(f) == walk_is_irreducible(f)
+    assert monic_sieve(field).max_deg == top
+    rng = Random(f"table:{field.spec}")
+    for _ in range(100):
+        f = random_poly(field, rng, top, nonzero=True)
+        assert factor(f) == walk_factor(f)
+    # just above the cap the walk answers, and the table does not grow
+    for _ in range(5):
+        f = random_poly(field, rng, top + 1, nonzero=True, exact_deg=True)
+        fac = factor(f)
+        assert _rebuild(f, fac) == f and all(walk_is_irreducible(prime) for prime, _ in fac)
+        assert is_irreducible(f) == (fac == ((f.monic(), 1),))
+    assert monic_sieve(field).max_deg == top
+
+
+def test_sieve_grows_only_to_the_degree_asked():
+    # degrees 2, then 5, then 3: the answers of the walk, never a table past
+    # the degree asked, and the arrays of one build to the top degree
+    for field, degrees in ((F5, (2, 5, 3)), (field_make(2), (4, 12, 7)), (F9, (1, 3, 2))):
+        sieve = monic_sieve(field)
+        assert sieve.max_deg == 0
+        rng = Random(f"grow:{field.spec}")
+        top = 0
+        for k in degrees:
+            top = max(top, k)
+            f = random_poly(field, rng, k, nonzero=True, exact_deg=True)
+            assert factor(f) == polyring._walk_factor(f)
+            assert is_irreducible(f) == polyring._walk_is_irreducible(f)
+            assert sieve.max_deg == top and len(sieve.least) == sieve.start(top + 1)
+        one_build = MonicSieve(field, top)
+        assert (sieve.least, sieve.cofactor) == (one_build.least, one_build.cofactor)
+
+
+def test_tabled_factor_calls_no_powmod_or_gcd(monkeypatch):
+    # the table is built and read with no Frobenius step and no gcd
+    fields = (field_make(2), F3, F9, field_make(2, 3), field_make(13))  # made by the walk
+    calls = []
+    for name in ("powmod", "gcd"):
+        monkeypatch.setattr(polyring, name, lambda *args, name=name: calls.append(name))
+    for field in fields:
+        rng = Random(f"no-walk:{field.spec}")
+        for k in range(1, _cap_degree(field) + 1):
+            for _ in range(5):
+                f = random_poly(field, rng, k, nonzero=True, exact_deg=True)
+                factor(f)
+                is_irreducible(f)
+    assert calls == []
+
+
+def test_walk_seeds_only_to_split(monkeypatch):
+    # the walk's fixed-seed Random is built only when a product of several
+    # primes of one degree must be split
+    seeds = []
+    monkeypatch.setattr(polyring, "Random", lambda seed: seeds.append(seed) or Random(seed))
+    field = field_make(257)
+    linear, other = parse_poly(field, "t+1"), parse_poly(field, "t+2")
+    quadratic = random_irreducible(field, Random("seeds"), 2)
+    assert polyring._walk_factor(linear * quadratic ** 2) == ((linear, 1), (quadratic, 2))
+    assert seeds == []
+    assert polyring._walk_factor(linear * other) == ((linear, 1), (other, 1))
+    assert seeds == [polyring._FACTOR_SEED]
+
+
+def test_cache_clearing_resets_the_sieve():
+    # the sieve factory is an lru_cache, so the layer-cache clearing between
+    # tests (and between benchmark jobs) empties the table like any cache
+    from conftest import clear_caches
+
+    factor(parse_poly(F3, "t^4+t+2"))
+    assert monic_sieve(F3).max_deg == 4
+    clear_caches()
+    assert monic_sieve(F3).max_deg == 0
 
 
 @pytest.mark.parametrize("q, e, orders", [(3, 1, (2,)), (5, 1, (2, 4)), (7, 1, (3, 6)),

@@ -212,10 +212,11 @@ def test_residue_walk_matches_division():
     # the residue of every monic mod every prime, walked in sieve order
     for field, max_deg in ((F3, 4), (F7, 2), (field_make(3, 2), 2), (field_make(2, 3), 2)):
         sieve = MonicSieve(field, max_deg)
-        for prime in (f for h, f in enumerate(sieve.monics) if h and sieve.least[h] == h):
+        monics = [sieve.monic(h) for h in range(len(sieve.least))]
+        for prime in (f for h, f in enumerate(monics) if h and sieve.least[h] == h):
             d = len(prime.coeffs) - 1
             assert _residue_walk(prime, max_deg) == [
-                poly_index((f % prime).coeffs, field.q, d) for f in sieve.monics]
+                poly_index((f % prime).coeffs, field.q, d) for f in monics]
 
 
 def test_sweep_violations_match_fixture():
@@ -476,7 +477,7 @@ def test_reciprocity_sweep_degree_zero():
         assert (res.pairs_total, res.pairs_coprime) == (units ** 2, units ** 2)
         assert res.passed
     sieve = MonicSieve(F5, 0)
-    assert (sieve.monics, sieve.least, sieve.cofactor) == ([Poly.one(F5)], [0], [0])
+    assert (sieve.monic(0), list(sieve.least), list(sieve.cofactor)) == (Poly.one(F5), [0], [0])
     assert sieve.factor_indices(0) == ()
     assert monic_irreducibles(F5, 0) == ()
 
