@@ -264,7 +264,10 @@ class Field:
         return f"Field(GF({self.spec}))"
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Field) and (self.p, self.e) == (other.p, other.e)
+        # field_make hands out one object per field, so identity settles
+        # nearly every comparison; a directly built Field(p, e) still equals it
+        return self is other or (isinstance(other, Field)
+                                 and self.p == other.p and self.e == other.e)
 
     def __hash__(self) -> int:
         return hash((self.p, self.e))

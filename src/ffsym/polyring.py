@@ -385,25 +385,47 @@ def character_table(prime: Poly, n: int = 2) -> list[int]:
     """power_character(r, prime, n) for every residue r mod P, in
     enumerate_residues order.
 
-    Walks the powers of the smallest residue g of order q^deg P - 1: with
-    zeta = power_character(g, P, n), one norm, g^i has character zeta^i,
-    so each residue costs one multiplication mod P.
+    The units mod P are cyclic of order q^d - 1, and F_q^* is their one
+    subgroup of order q - 1.  For the smallest generator g and
+    M = (q^d - 1)/(q - 1), every unit is exactly one g^i gamma^j
+    (i < M, j < q - 1) for the constant gamma = g^M, with character
+    zeta^i eta^j: zeta = power_character(g, P, n), one norm, and
+    eta = zeta^M.  So the table walks the M cosets of the constants, one
+    multiplication mod P each, and scales each walked residue by the powers
+    of gamma.  The walk certifies g: it stops at the first constant power,
+    and g generates exactly when that power is g^M and gamma^((q-1)/l) != 1
+    for each prime l | q - 1, so a candidate with an earlier one stops early.
     """
     field = prime.field
     q, d = field.q, len(prime.coeffs) - 1
-    order = q ** d - 1
-    one = Poly.one(field)
-    primes = prime_divisors(order)
-    g = next(r for r in enumerate_residues(field, d)
-             if r.coeffs and all(powmod(r, order // ell, prime) != one for ell in primes))
-    zeta = power_character(g, prime, n)
+    m = (q ** d - 1) // (q - 1)
+    one, mul = field.one_code, field.mul
     red = _reduction(prime)
-    table = [0] * (order + 1)
-    x, z = [field.one_code], field.one_code
-    for _ in range(order):
-        table[poly_index(x, q, d)] = z
-        x = _reduce_codes(_mul_codes(x, g.coeffs, field), red, field)
-        z = field.mul(z, zeta)
+    ells = prime_divisors(q - 1)
+    for g in enumerate_residues(field, d):
+        # g^0 and g^1 padded to the d digits that the fold leaves on g^i
+        walk, x = [[one] + [0] * (d - 1)], list(g.coeffs) + [0] * (d - len(g.coeffs))
+        while any(x[1:]) and len(walk) <= m:  # only a reducible P walks past g^M
+            walk.append(x)
+            x = _reduce_codes(_mul_codes(x, g.coeffs, field), red, field)
+        gamma = x[0]
+        if len(walk) == m and gamma and all(field.pow_(gamma, (q - 1) // ell) != one
+                                            for ell in ells):
+            break
+    else:
+        raise ValueError("no residue generates the units mod P: P is not irreducible")
+    zeta = power_character(g, prime, n)
+    eta = field.pow_(zeta, m)
+    scales = [(field.pow_(gamma, j), field.pow_(eta, j)) for j in range(q - 1)]
+    table = [0] * q ** d
+    z = one
+    for x in walk:
+        for c, w in scales:
+            idx = 0  # poly_index of c x, which has all d digits
+            for a in x:
+                idx = idx * q + mul(c, a)
+            table[idx] = mul(z, w)
+        z = mul(z, zeta)
     return table
 
 

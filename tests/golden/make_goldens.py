@@ -13,7 +13,9 @@ about 30 s; CI compares it byte for byte.  For the same reason
 ``reciprocity_sweep_7_3.json``, the stdout of
 ``ffsym reciprocity-sweep --q 7 --degree-max 3 --json`` (the largest sweep
 under ``symbols.MAX_SWEEP_PAIRS``), stays out of the manifest and is
-compared in CI.
+compared in CI, and so does ``reciprocity_sweep_7_3_n3.json``, the stdout of
+``ffsym reciprocity-sweep --q 7 --degree-max 3 --n 3 --json`` (the same
+sweep with cubic characters, about 0.5 s).
 """
 
 from __future__ import annotations
@@ -68,6 +70,11 @@ CASES = {
     "ext_reciprocity_sweep_3e2_n8": ["reciprocity-sweep", "--q", "3^2", "--degree-max", "2",
                                      "--n", "8"],
     "reciprocity_sweep_degree0": ["reciprocity-sweep", "--q", "5", "--degree-max", "0"],
+    # characteristic 2: q - 1 odd, a cubic and a seventh-power character
+    "ext_reciprocity_sweep_2e2_n3": ["reciprocity-sweep", "--q", "2^2", "--degree-max", "3",
+                                     "--n", "3"],
+    "ext_reciprocity_sweep_2e3_n7": ["reciprocity-sweep", "--q", "2^3", "--degree-max", "2",
+                                     "--n", "7"],
     # fraction arguments: local symbols at places dividing a denominator
     "hilbert_fractions_7": ["hilbert", "--q", "7", "--alpha", "t^2+3/t^3+t+1",
                             "--beta", "3*t/t^2+1"],

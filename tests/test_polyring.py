@@ -4,7 +4,7 @@ import pytest
 
 from ffsym import polyring
 from ffsym.dirichlet import pi_q
-from ffsym.gf import field_make
+from ffsym.gf import Field, field_make, prime_divisors
 from ffsym.polyring import (
     NEG_INF,
     SIEVE_CAP,
@@ -56,6 +56,13 @@ def test_degree_sentinel():
 def test_mixed_descriptor_error():
     with pytest.raises(ValueError):
         Poly.t(F3) + Poly.t(F5)
+    # fields compare by identity first and by (p, e) after it: a directly
+    # built Field(3, 2) is F_9, and F_9 is not F_3
+    direct = Field(3, 2)
+    assert direct is not F9 and direct == F9
+    assert Poly.t(direct) * Poly.t(F9) == Poly(F9, (0, 0, 1))
+    with pytest.raises(ValueError, match="mixed field descriptors"):
+        Poly.t(F9) + Poly.t(F3)
 
 
 def test_divmod_examples():
@@ -436,12 +443,14 @@ def test_cache_clearing_resets_the_sieve():
 
 @pytest.mark.parametrize("q, e, orders", [(3, 1, (2,)), (5, 1, (2, 4)), (7, 1, (3, 6)),
                                            (13, 1, (4,)), (3, 2, (2, 4, 8)), (2, 3, (7,)),
-                                           (257, 1, (2,))],
-                         ids=["F3", "F5", "F7", "F13", "F9", "F8", "F257"])
+                                           (257, 1, (2,)), (2, 2, (3,)), (2, 4, (3, 5, 15)),
+                                           (31, 1, (2, 3, 5, 6, 10, 15, 30))],
+                         ids=["F3", "F5", "F7", "F13", "F9", "F8", "F257", "F4", "F16", "F31"])
 def test_character_table_matches_power_character(q, e, orders):
     # every prime of degree <= 3 with q^d <= 200; above that (up to 2,500
     # residues) the first, the last and two seeded primes of each degree,
-    # since all 728 cubics over F_13 would take minutes per residue
+    # since all 728 cubics over F_13 would take minutes per residue.  F_16
+    # and F_31 certify their generators against two and three primes l | q - 1
     field = field_make(q, e)
     rng = Random(5)
     for d in range(1, 4):
@@ -454,6 +463,44 @@ def test_character_table_matches_power_character(q, e, orders):
             for n in orders:
                 expected = [power_character(r, prime, n) for r in enumerate_residues(field, d)]
                 assert character_table(prime, n) == expected
+
+
+@pytest.mark.parametrize("q, e", [(3, 1), (7, 1), (31, 1), (2, 2), (3, 2)],
+                         ids=["F3", "F7", "F31", "F4", "F9"])
+def test_character_table_passes_over_residues_that_do_not_generate(q, e):
+    # The table's walk rejects a candidate g at its first constant power g^i:
+    # early when i < M = (q^d - 1)/(q - 1), late at g^M when that constant
+    # does not generate F_q^*.  A powmod order oracle finds, among the primes
+    # of degree 2 and 3 with q^d <= 2,500, a prime of each kind for the first
+    # candidate, the first nonzero residue; its table must still be right.
+    field = field_make(q, e)
+    one = Poly.one(field)
+    found = {}
+    for d in (2, 3):
+        if field.q ** d > 2500:
+            continue
+        order = field.q ** d - 1
+        m = order // (field.q - 1)
+        first = next(r for r in enumerate_residues(field, d) if r.coeffs)
+        for prime in monic_irreducibles(field, d):
+            if any(powmod(first, m // ell, prime).is_constant for ell in prime_divisors(m)):
+                found.setdefault("early", prime)
+            elif any(powmod(first, order // ell, prime) == one for ell in prime_divisors(order)):
+                found.setdefault("late", prime)
+    assert set(found) == {"early", "late"}
+    for prime in found.values():
+        d = prime.degree
+        for n in (n for n in range(2, field.q) if (field.q - 1) % n == 0):
+            expected = [power_character(r, prime, n) for r in enumerate_residues(field, d)]
+            assert character_table(prime, n) == expected
+
+
+def test_character_table_rejects_a_reducible_modulus():
+    # mod t^2 + t = t (t + 1) over F_3 the powers of t never turn constant
+    # (t^2 = 2t), so the walk needs its bound of M + 1 steps to end
+    for mod in ("t^2+t", "t^2"):
+        with pytest.raises(ValueError, match="not irreducible"):
+            character_table(parse_poly(F3, mod), 2)
 
 
 def test_powmod_matches_naive():
@@ -483,8 +530,8 @@ def test_powmod_matches_naive():
 
 
 def test_powmod_of_a_residue_divides_nothing(monkeypatch):
-    # the Frobenius walk, equal-degree splitting and character_table's order
-    # test hand powmod residues already reduced mod P
+    # the Frobenius walk and equal-degree splitting hand powmod residues
+    # already reduced mod P
     field = field_make(3, 2)
     rng = Random("powmod-reduced")
     cases = []

@@ -361,6 +361,23 @@ def test_characters_raise_no_power(p, e, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("p, e, max_deg, n", [(5, 1, 3, 2), (3, 2, 2, 8), (2, 2, 2, 3)],
+                         ids=["F5", "F9", "F4"])
+def test_sweep_calls_no_powmod(p, e, max_deg, n, monkeypatch):
+    # the sweep's precompute is the sieve and one character table per prime,
+    # whose coset walk certifies its own generator: no powmod order test
+    calls = []
+    real = polyring.powmod
+
+    def counting_powmod(f, k, mod):
+        calls.append(k)
+        return real(f, k, mod)
+
+    monkeypatch.setattr(polyring, "powmod", counting_powmod)
+    assert reciprocity_sweep(field_make(p, e), max_deg, n=n).passed
+    assert calls == []
+
+
 @pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (257, 1), (3, 2), (3, 5)])
 def test_local_path_factors_each_fraction_once(p, e, monkeypatch):
     # hilbert_product then delta read one cached divisor per fraction:
