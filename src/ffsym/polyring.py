@@ -16,7 +16,7 @@ from functools import lru_cache
 from random import Random
 from typing import Iterator, Sequence, Union
 
-from .gf import Field, FieldElem, prime_divisors
+from .gf import Field, FieldElem
 
 NEG_INF = float("-inf")
 
@@ -386,37 +386,31 @@ def character_table(prime: Poly, n: int = 2) -> list[int]:
     enumerate_residues order.
 
     The units mod P are cyclic of order q^d - 1, and F_q^* is their one
-    subgroup of order q - 1.  For the smallest generator g and
-    M = (q^d - 1)/(q - 1), every unit is exactly one g^i gamma^j
-    (i < M, j < q - 1) for the constant gamma = g^M, with character
-    zeta^i eta^j: zeta = power_character(g, P, n), one norm, and
-    eta = zeta^M.  So the table walks the M cosets of the constants, one
-    multiplication mod P each, and scales each walked residue by the powers
-    of gamma.  The walk certifies g: it stops at the first constant power,
-    and g generates exactly when that power is g^M and gamma^((q-1)/l) != 1
-    for each prime l | q - 1, so a candidate with an earlier one stops early.
+    subgroup of order q - 1.  For the first residue g whose powers first
+    reach a constant at g^M, M = (q^d - 1)/(q - 1), every unit is exactly
+    one c g^i (c in F_q^*, i < M), with character zeta^i chi(c):
+    zeta = power_character(g, P, n), one norm, and chi(c) = c^((q^d - 1)/n).
+    So the table walks the M cosets of the constants, one multiplication
+    mod P each, and scales each walked residue by every constant.  Modulo a
+    reducible P the units number fewer than q^d - 1, so no walk reaches M.
     """
     field = prime.field
     q, d = field.q, len(prime.coeffs) - 1
     m = (q ** d - 1) // (q - 1)
     one, mul = field.one_code, field.mul
     red = _reduction(prime)
-    ells = prime_divisors(q - 1)
     for g in enumerate_residues(field, d):
         # g^0 and g^1 padded to the d digits that the fold leaves on g^i
         walk, x = [[one] + [0] * (d - 1)], list(g.coeffs) + [0] * (d - len(g.coeffs))
         while any(x[1:]) and len(walk) <= m:  # only a reducible P walks past g^M
             walk.append(x)
             x = _reduce_codes(_mul_codes(x, g.coeffs, field), red, field)
-        gamma = x[0]
-        if len(walk) == m and gamma and all(field.pow_(gamma, (q - 1) // ell) != one
-                                            for ell in ells):
+        if len(walk) == m and x[0]:
             break
     else:
-        raise ValueError("no residue generates the units mod P: P is not irreducible")
+        raise ValueError("no residue generates the units mod P modulo F_q^*: P is not irreducible")
     zeta = power_character(g, prime, n)
-    eta = field.pow_(zeta, m)
-    scales = [(field.pow_(gamma, j), field.pow_(eta, j)) for j in range(q - 1)]
+    scales = [(c, field.pow_(c, (q ** d - 1) // n)) for c in range(1, q)]
     table = [0] * q ** d
     z = one
     for x in walk:

@@ -30,7 +30,7 @@ from .places import (
     val_at_least,
     valuation,
 )
-from .polyring import Poly, enumerate_residues, invmod, power_character
+from .polyring import SIEVE_CAP, Poly, enumerate_residues, invmod, power_character
 from .symbols import local_symbol
 
 SUMSET_MIN_FIELD_SIZE = 11  # trace sumsets cover the residue field only above this
@@ -304,11 +304,11 @@ def _targeted_candidate(x: RatFunc, places: list[Place], rng: Random) -> RatFunc
         prime = place.prime
         rx = residue(x, place)
         d = len(prime.coeffs) - 1
-        if field.q ** d <= 4096:
+        if field.q ** d <= SIEVE_CAP:
             cands = enumerate_residues(field, d)
         else:
             cands = (
-                Poly(field, [rng.randrange(field.q) for _ in range(d)]) for _ in range(4096)
+                Poly(field, [rng.randrange(field.q) for _ in range(d)]) for _ in range(SIEVE_CAP)
             )
         for u in cands:
             if in_u_residue(u, prime) and in_u_residue((rx - u) % prime, prime):

@@ -8,8 +8,10 @@ Regenerate only from a commit whose outputs are the reference:
     python tests/golden/make_goldens.py --src src --out tests/golden
 
 ``selftest_seed42.json`` is the stdout of ``ffsym selftest --seed 42 --json``
-from such a commit.  It is not in the manifest, because the selftest takes
-about 30 s; CI compares it byte for byte.  For the same reason
+from such a commit, and ``selftest_seed42.txt`` is its text output with each
+line's trailing elapsed time `` (N.Ns)`` stripped.  They are not in the
+manifest, because the selftest takes several seconds; CI compares both byte for
+byte.  For the same reason
 ``reciprocity_sweep_7_3.json``, the stdout of
 ``ffsym reciprocity-sweep --q 7 --degree-max 3 --json`` (the largest sweep
 under ``symbols.MAX_SWEEP_PAIRS``), stays out of the manifest and is

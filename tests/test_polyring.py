@@ -450,7 +450,7 @@ def test_character_table_matches_power_character(q, e, orders):
     # every prime of degree <= 3 with q^d <= 200; above that (up to 2,500
     # residues) the first, the last and two seeded primes of each degree,
     # since all 728 cubics over F_13 would take minutes per residue.  F_16
-    # and F_31 certify their generators against two and three primes l | q - 1
+    # and F_31 have two and three primes l | q - 1
     field = field_make(q, e)
     rng = Random(5)
     for d in range(1, 4):
@@ -468,11 +468,12 @@ def test_character_table_matches_power_character(q, e, orders):
 @pytest.mark.parametrize("q, e", [(3, 1), (7, 1), (31, 1), (2, 2), (3, 2)],
                          ids=["F3", "F7", "F31", "F4", "F9"])
 def test_character_table_passes_over_residues_that_do_not_generate(q, e):
-    # The table's walk rejects a candidate g at its first constant power g^i:
-    # early when i < M = (q^d - 1)/(q - 1), late at g^M when that constant
-    # does not generate F_q^*.  A powmod order oracle finds, among the primes
-    # of degree 2 and 3 with q^d <= 2,500, a prime of each kind for the first
-    # candidate, the first nonzero residue; its table must still be right.
+    # The table's walk stops a candidate g at its first constant power g^i.
+    # It rejects g when i < M = (q^d - 1)/(q - 1) ("early"), and accepts it
+    # at i = M even when that constant does not generate F_q^* ("late"), so
+    # g need not generate the units.  A powmod order oracle finds, among the
+    # primes of degree 2 and 3 with q^d <= 2,500, a prime of each kind for
+    # the first candidate, the first nonzero residue; its table must be right.
     field = field_make(q, e)
     one = Poly.one(field)
     found = {}
