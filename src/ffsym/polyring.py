@@ -692,7 +692,6 @@ def _covering_sieve(f: Poly) -> MonicSieve | None:
     return sieve
 
 
-@lru_cache(maxsize=None)
 def monic_irreducibles(field: Field, k: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree k, enumeration order, from the
     field's sieve table."""

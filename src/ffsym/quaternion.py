@@ -123,11 +123,6 @@ def _require_delta(a: RatFunc, b: RatFunc) -> RamificationSet:
 # --- the trace set S and friends ---
 
 
-def _is_plus_minus_two(eps: RatFunc) -> bool:
-    field = eps.field
-    return eps == RatFunc.constant(field, 2) or eps == RatFunc.constant(field, -2)
-
-
 def s_local_member(eps: RatFunc, a: RatFunc, b: RatFunc, place: Place) -> bool:
     """Membership of eps in the local trace set of H_{a,b} at the place.
 
@@ -140,13 +135,11 @@ def s_local_member(eps: RatFunc, a: RatFunc, b: RatFunc, place: Place) -> bool:
         raise ValueError("trace set needs a nonzero defining pair")
     if place not in delta(a, b):
         return True
-    if _is_plus_minus_two(eps):
-        return True
     if not val_at_least(eps, place, 0):
         return False
     disc = eps * eps - RatFunc.constant(eps.field, 4)
     if disc.is_zero:
-        return True  # eps = +-2 again (only solutions of eps^2 = 4)
+        return True  # eps = +-2, the only solutions of eps^2 = 4
     return not is_square_local(disc, place)
 
 

@@ -146,12 +146,12 @@ def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> FieldElem:
 #
 # The sweep checks every coprime ordered pair (alpha, beta) of nonzero
 # polynomials of degree <= max_deg.  It evaluates exactly the two sides of
-# check_general_reciprocity, but batches the work: the monic parts are
-# factored by a sieve, their residues mod each prime are walked in sieve
-# order, their residue symbols are read from character tables built by a
-# generator walk, and the constant part of (a f / P) is split off via
-# (a f)^E = a^E f^E.  A block of unit multiples (a f, b g) is settled by one
-# comparison; only a block that fails it is enumerated pair by pair.
+# check_general_reciprocity, but batches the work: the residues of the
+# monics mod each prime are walked in sieve order, their symbols are read
+# from the prime's character table, and the symbols of every monic follow
+# along the sieve's cofactor chain; the constant part of (a f / P) is split
+# off via (a f)^E = a^E f^E.  A block of unit multiples (a f, b g) is settled
+# by one comparison; only a block that fails it is enumerated pair by pair.
 
 
 @dataclass(frozen=True)
@@ -221,47 +221,42 @@ def reciprocity_sweep(field: Field, max_deg: int, n: int = 2) -> SweepResult:
                          f"above MAX_SWEEP_PAIRS = {MAX_SWEEP_PAIRS:,}")
     q = field.q
 
-    # monic parts from the sieve; factorizations as (prime position, multiplicity)
+    # monic parts from the sieve: sieve.least[h] is the least prime factor of
+    # monic h and sieve.cofactor[h] < h the rest, so each table multiplicative
+    # in f_h is filled in index order as its cofactor's entry times its least
+    # prime's entry, and a prime power steps the chain once per power
     sieve = monic_sieve(field)
     sieve.grow(max_deg)
     monics = [sieve.monic(h) for h in range(sieve.start(max_deg + 1))]
-    prime_idx = [h for h in range(1, len(monics)) if sieve.least[h] == h]
-    primes = [monics[h] for h in prime_idx]
-    pos = {h: i for i, h in enumerate(prime_idx)}
-    fact = [tuple((pos[pr], mult) for pr, mult in sieve.factor_indices(h))
-            for h in range(len(monics))]
-    masks = [sum(1 << i for i, _ in entry) for entry in fact]
-
-    # chi[pos][h] = (monics[h] / P)_n read from the character table of P at
-    # the walked residue; const_sym[pos][a] is the entry of the constant a
-    chi: list[list[int]] = []
-    const_sym: list[list[int]] = []
-    for pr in primes:
-        d = len(pr.coeffs) - 1
-        table = character_table(pr, n)
-        chi.append([table[r] for r in _residue_walk(pr, max_deg)])
-        const_sym.append([table[poly_index((a,), q, d)] for a in range(q)])
-    sgn = [field.pow_(a, (q - 1) // n) for a in range(q)]
-
     degs = [len(f.coeffs) - 1 for f in monics]
+
+    mul, div, neg = field.mul, field.div, field.neg
+    one = field.one_code
+    # chi[p][h] = (monics[h] / P)_n for the prime P = monics[p], read from the
+    # character table of P at the walked residue, and const_sym[p][a] the
+    # entry of the constant a; masks[h] has bit p for each prime P | f_h,
+    # const_part[h][a] = (a / f_h)_n and rows[h][i] = (f_i / f_h)_n
+    chi: dict[int, list[int]] = {}
+    const_sym: dict[int, list[int]] = {}
+    masks = [0]
+    const_part = [[one] * q]
+    rows = [[one] * len(monics)]
+    for h in range(1, len(monics)):
+        p, c = sieve.least[h], sieve.cofactor[h]
+        if p == h:
+            table = character_table(monics[h], n)
+            chi[h] = [table[r] for r in _residue_walk(monics[h], max_deg)]
+            const_sym[h] = [table[poly_index((a,), q, degs[h])] for a in range(q)]
+        masks.append(masks[c] | 1 << p)
+        const_part.append(list(map(mul, const_part[c], const_sym[p])))
+        rows.append(list(map(mul, rows[c], chi[p])))
+
     units = list(range(1, q))
-    flip = ((q - 1) // n) % 2 == 1
-    # eps = -1 for the pair (i, j) exactly when odd[i] and odd[j]
-    odd = [flip and deg % 2 == 1 for deg in degs]
-
-    # constant part of (a * anything / f_m): prod over P^mult || f_m of (a/P)^mult
-    const_part = []
-    for entry in fact:
-        row = [field.one_code] * q
-        for pos, mult in entry:
-            row = [field.mul(row[a], field.pow_(const_sym[pos][a], mult)) for a in range(q)]
-        const_part.append(row)
-    sgn_pow = [[field.pow_(sgn[a], d) for a in range(q)] for d in range(max_deg + 1)]
-    inv_sgn_pow = [
-        [field.one_code] + [field.inv(c) for c in row[1:]] for row in sgn_pow
-    ]  # index 0 unused (units only)
-
-    mul, inv, pow_, neg = field.mul, field.inv, field.pow_, field.neg
+    # eps = -1 for the pair (i, j) exactly when ((q - 1)/n) deg f_i deg f_j is
+    # odd, that is when odd[i] and odd[j]
+    odd = [(q - 1) // n * deg % 2 == 1 for deg in degs]
+    # sgn_pow[d][a] = sign(a)^d = a^(d (q - 1)/n)
+    sgn_pow = [[field.pow_(a, d * ((q - 1) // n)) for a in range(q)] for d in range(max_deg + 1)]
 
     # On the block (a f_i, b g_j) the identity reads u_j(a) s_ij = eps s_ji u_i(b)
     # with u_h(a) = const_part[h][a] / sign(a)^deg h and s_ij = (f_i / g_j).
@@ -271,23 +266,13 @@ def reciprocity_sweep(field: Field, max_deg: int, n: int = 2) -> SweepResult:
     plain = [all(cp[a] == sgn_pow[degs[h]][a] for a in units)
              for h, cp in enumerate(const_part)]
 
-    # rows[j][i] = s_ij: one list product per prime power P^m || g_j
-    rows = []
-    for j, entry in enumerate(fact):
-        row = [field.one_code] * len(monics)
-        for pos, mult in entry:
-            row = list(map(mul, row, chi[pos] if mult == 1 else [pow_(x, mult) for x in chi[pos]]))
-        rows.append(row)
-
-    neg_one = field.neg_one_code
     pair_block = len(units) * len(units)
     coprime = 0
     violations = []
     for i in range(len(monics)):
         mask_i = masks[i]
-        deg_i = degs[i]
         cp_i = const_part[i]
-        inv_sgn_i = inv_sgn_pow[deg_i]
+        sgn_i = sgn_pow[degs[i]]
         partners = [j for j, mask in enumerate(masks) if not mask_i & mask]
         coprime += len(partners) * pair_block
         if plain[i]:
@@ -298,20 +283,16 @@ def reciprocity_sweep(field: Field, max_deg: int, n: int = 2) -> SweepResult:
             partners = [j for j in partners if not (plain[j] and col[j] == rhs_row[j])]
         # enumerate each block that failed the check, pair by pair
         for j in partners:
-            deg_j = degs[j]
             # monic-part symbols (f_i / g_j) and (g_j / f_i), from the rows
             s_ij = rows[j][i]
             s_ji = rows[i][j]
-            sign_flip = odd[i] and odd[j]
+            eps = field.neg_one_code if odd[i] and odd[j] else one
             cp_j = const_part[j]
-            sgn_j = sgn_pow[deg_j]
-            inv_parts = [inv(mul(cp_i[b], s_ji)) for b in units]
+            sgn_j = sgn_pow[degs[j]]
             for a in units:
-                lhs_num = mul(cp_j[a], s_ij)
-                rhs_a = mul(sgn_j[a], neg_one) if sign_flip else sgn_j[a]
-                for bi, b in enumerate(units):
-                    lhs = mul(lhs_num, inv_parts[bi])
-                    rhs = mul(rhs_a, inv_sgn_i[b])
+                for b in units:
+                    lhs = div(mul(cp_j[a], s_ij), mul(cp_i[b], s_ji))
+                    rhs = div(mul(eps, sgn_j[a]), sgn_i[b])
                     if lhs != rhs:
                         violations.append(SweepViolation(
                             monics[i].scale(a),

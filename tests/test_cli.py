@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -140,6 +143,14 @@ def test_selftest_subset(capsys):
     code, out, _ = run(capsys, ["selftest", "--criteria", "3,5", "--seed", "42"])
     assert code == 0
     assert "PASS criterion  3" in out and "PASS criterion  5" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "ffsym", "selftest", "--criteria", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS criterion  3" in proc.stdout
 
 
 def test_json_determinism(capsys):

@@ -145,11 +145,22 @@ def test_delta_square_scaling_invariance():
 def test_s_local_examples():
     pl = Place.finite(parse_poly(F3, "t+1"))
     assert s_local_member(RatFunc.constant(F3, 2), A3, B3, pl)
+    assert s_local_member(RatFunc.constant(F3, -2), A3, B3, pl)
     assert s_local_member(RatFunc.zero(F3), A3, B3, pl)  # x^2 + 1 irreducible mod 3
     assert not s_local_member(parse_ratfunc(F3, "1/t+1"), A3, B3, pl)
     # away from the ramification set everything is a trace
     off = Place.finite(parse_poly(F3, "t+2"))
     assert s_local_member(parse_ratfunc(F3, "1/t+2"), A3, B3, off)
+    # x^2 -+ 2x + 1 = (x -+ 1)^2: eps = +-2 is a trace at every ramified place,
+    # found through the zero discriminant eps^2 - 4
+    for field in (F5, field_make(3, 2), F13, field_make(257)):
+        a, b = RatFunc.constant(field, smallest_nonsquare(field)), RatFunc.t(field)
+        ramified = delta(a, b).sorted()
+        assert [str(place) for place in ramified] == ["t", "inf"]
+        for place in ramified:
+            for eps in (2, -2):
+                assert s_local_member(RatFunc.constant(field, eps), a, b, place)
+        assert not s_local_member(parse_ratfunc(field, "1/t"), a, b, ramified[0])
 
 
 def test_s_global_examples():
