@@ -83,7 +83,7 @@ def _sym_json(sym: FieldElem) -> dict:
 def cmd_symbol(args):
     field = _field(args)
     alpha = parse_poly(field, args.alpha)
-    prime = parse_poly(field, args.prime)
+    prime = Place.finite(parse_poly(field, args.prime)).prime
     sym = residue_symbol(alpha, prime, args.n)
     inputs = {"alpha": str(alpha), "prime": str(prime), "n": args.n}
     result = _sym_json(sym)

@@ -243,7 +243,7 @@ def uniformity_report(f: Poly, k: int) -> UniformityReport:
         raise ValueError("modulus must have positive degree")
     counts = ap_prime_counts(f, k)
     pi_k = pi_q(f.field.q, k)
-    phi_f = euler_phi(f)
+    phi_f = len(counts)  # one key per unit class mod f
     expected = pi_k / phi_f
     rows = tuple(UniformityRow(r, n, abs(n / expected - 1.0)) for r, n in counts.items())
     max_dev = max((row.deviation for row in rows), default=0.0)

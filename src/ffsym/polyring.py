@@ -431,7 +431,6 @@ def character_table(prime: Poly, n: int = 2) -> list[int]:
 # most 8,191 (F_2 to degree 12), 64 KiB, built in 0.08 s; F_13 to degree 3
 # takes 0.005 s and F_5 to degree 5 0.013 s under Python 3.11 on a 2-vCPU
 # Xeon host.  A lookup then takes 4-16 us where the walk takes 50-300 us.
-# quaternion._targeted_candidate enumerates residue fields up to this size.
 SIEVE_CAP = 4096
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from random import Random
 
-from .gf import Field, FieldElem
+from .gf import Field
 from .places import (
     Place,
     RatFunc,
@@ -30,7 +29,7 @@ from .places import (
     val_at_least,
     valuation,
 )
-from .polyring import SIEVE_CAP, Poly, enumerate_residues, invmod, power_character
+from .polyring import Poly, enumerate_residues, invmod, power_character
 from .symbols import local_symbol
 
 SUMSET_MIN_FIELD_SIZE = 11  # trace sumsets cover the residue field only above this
@@ -260,9 +259,9 @@ def in_u_residue(r: Poly, prime: Poly) -> bool:
 # --- decomposition of T elements into S + S ---
 
 
-def _crt_interpolate(targets: list[tuple[Poly, Poly]]) -> Poly:
-    # targets: [(modulus P_i^1, residue r_i)] pairwise coprime moduli
-    field = targets[0][0].field
+def _crt_interpolate(field: Field, targets: list[tuple[Poly, Poly]]) -> tuple[Poly, Poly]:
+    # (N, M) for targets [(P_i, r_i)] with pairwise coprime P_i: M = prod P_i,
+    # N = r_i mod each P_i and deg N < deg M (N = 0, M = 1 for no targets)
     modulus = Poly.one(field)
     for m, _ in targets:
         modulus = modulus * m
@@ -270,92 +269,29 @@ def _crt_interpolate(targets: list[tuple[Poly, Poly]]) -> Poly:
     for m, r in targets:
         rest = modulus // m
         acc = acc + r * rest * invmod(rest % m, m)
-    return acc % modulus
+    return acc % modulus, modulus
 
 
-def _targeted_candidate(x: RatFunc, places: list[Place], rng: Random) -> RatFunc | None:
-    """Build beta with red_v(beta) in U_v and red_v(x - beta) in U_v for all
-    ramified places, prescribing residues by interpolation.
-
-    Residue targets exist whenever U + U covers the residue field.  Finite
-    targets are met by Chinese remaindering; the target at infinity becomes
-    the constant term of beta = u_inf + N/E for a denominator E coprime to
-    the finite places.
-    """
-    field = x.field
-    finite = [pl for pl in places if not pl.is_infinite]
-    has_inf = any(pl.is_infinite for pl in places)
-
-    def pick_u_pair(place: Place) -> Poly | int | None:
-        # find u with u in U and red(x) - u in U at the place
-        if place.is_infinite:
-            r = residue_inf(x).code
-            for u in range(field.q):
-                if _in_u_code(field, u) and _in_u_code(field, field.sub(r, u)):
-                    return u
-            return None
-        prime = place.prime
-        rx = residue(x, place)
-        d = len(prime.coeffs) - 1
-        if field.q ** d <= SIEVE_CAP:
-            cands = enumerate_residues(field, d)
-        else:
-            cands = (
-                Poly(field, [rng.randrange(field.q) for _ in range(d)]) for _ in range(SIEVE_CAP)
-            )
-        for u in cands:
-            if in_u_residue(u, prime) and in_u_residue((rx - u) % prime, prime):
-                return u
-        return None
-
-    finite_targets = []
-    for pl in finite:
-        u = pick_u_pair(pl)
-        if u is None:
-            return None
-        finite_targets.append((pl.prime, u))
-    u_inf = 0
-    if has_inf:
-        u_inf = pick_u_pair(Place.infinite(field))
-        if u_inf is None:
-            return None
-
-    if not finite:
-        return RatFunc.constant(field, u_inf)
-    if not has_inf:
-        return RatFunc.from_poly(_crt_interpolate(finite_targets))
-
-    # beta = u_inf + N/E: E monic coprime to the finite places, deg N < deg E,
-    # so red_inf(beta) = u_inf and red_{P_i}(beta) = u_inf + (u_i - u_inf).
-    big_deg = sum(len(p.coeffs) - 1 for p, _ in finite_targets)
-    linear_primes = {p.coeffs for p, _ in finite_targets if len(p.coeffs) == 2}
-    base = next(
-        Poly(field, (c, 1), trusted=True) for c in range(field.q)
-        if (c, 1) not in linear_primes
-    )
-    e_poly = base ** big_deg
-    u_inf_poly = Poly.constant(field, FieldElem(field, u_inf))
-    targets = [(p, ((u - u_inf_poly) * e_poly) % p) for p, u in finite_targets]
-    n_poly = _crt_interpolate(targets)
-    return RatFunc.from_poly(u_inf_poly) + RatFunc(n_poly, e_poly)
+def _u_pair(rx: Poly, prime: Poly) -> Poly | None:
+    # the first residue u mod P in enumerate_residues order with u and
+    # rx - u both in U, or None when U + U misses rx
+    residues = enumerate_residues(prime.field, len(prime.coeffs) - 1)
+    return next((u for u in residues
+                 if in_u_residue(u, prime) and in_u_residue((rx - u) % prime, prime)), None)
 
 
-def decompose_t_element(
-    x: RatFunc,
-    a: RatFunc,
-    b: RatFunc,
-    rng: Random | None = None,
-) -> tuple[RatFunc, RatFunc] | None:
+def decompose_t_element(x: RatFunc, a: RatFunc, b: RatFunc) -> tuple[RatFunc, RatFunc] | None:
     """Write x in T as s1 + s2 with both parts in S, verified before return.
 
-    Candidates: the unconditional traces +-2 first, then constants, then an
-    interpolation targeting U-set residues at every ramified place.  None
-    means the targeted construction found no residue pair (only possible
-    above 4,096 residues, where the pairs are drawn at random), not a
-    disproof.
+    At each ramified place v, u_v is the first residue with u_v and
+    red_v(x) - u_v both in U (the infinite place is read as F_q[t]/(t)).
+    Then s1 = u_inf + N/(M + 1), where M is the product of the finite
+    places of Delta and N = u_v - u_inf mod each of them: M + 1 = 1 at
+    every such place and deg N < deg(M + 1), so red_v(s1) = u_v on all of
+    Delta.  None means exactly that U + U misses red_v(x) at some ramified
+    place; the result depends on (x, a, b) alone.
     """
     field = x.field
-    rng = rng if rng is not None else Random(0xD3C0)
     d = _require_delta(a, b)
     if not t_member(x, a, b):
         raise ValueError("decomposition input must lie in T")
@@ -366,20 +302,22 @@ def decompose_t_element(
                 f"(q^h = {field.q ** place.residue_degree} at {place})"
             )
 
-    def verified(s1: RatFunc) -> tuple[RatFunc, RatFunc] | None:
-        s2 = x - s1
-        if s_global_member(s1, a, b) and s_global_member(s2, a, b):
-            return (s1, s2)
-        return None
-
-    for shortcut in (RatFunc.constant(field, 2), RatFunc.constant(field, -2)):
-        out = verified(shortcut)
-        if out is not None:
-            return out
-    for code in range(field.q):
-        out = verified(RatFunc.constant(field, FieldElem(field, code)))
-        if out is not None:
-            return out
-
-    candidate = _targeted_candidate(x, d.sorted(), rng)
-    return None if candidate is None else verified(candidate)
+    u_inf = Poly.zero(field)
+    finite = []
+    for place in d.sorted():
+        if place.is_infinite:
+            u_inf = _u_pair(Poly.constant(field, residue_inf(x)), Poly.t(field))
+            if u_inf is None:
+                return None
+        else:
+            u = _u_pair(residue(x, place), place.prime)
+            if u is None:
+                return None
+            finite.append((place.prime, u))
+    n_poly, m_poly = _crt_interpolate(field, [(p, u - u_inf) for p, u in finite])
+    e_poly = m_poly + Poly.one(field)
+    s1 = RatFunc(u_inf * e_poly + n_poly, e_poly)
+    s2 = x - s1
+    if s_global_member(s1, a, b) and s_global_member(s2, a, b):
+        return (s1, s2)
+    return None

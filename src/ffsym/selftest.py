@@ -275,7 +275,7 @@ def criterion_12(seed: int) -> tuple[bool, str]:
         if not t_member(x, wp.a, wp.b):
             continue
         sampled += 1
-        out = decompose_t_element(x, wp.a, wp.b, rng=rng)
+        out = decompose_t_element(x, wp.a, wp.b)
         if out is None:
             continue
         s1, s2 = out

@@ -29,7 +29,6 @@ from .polyring import (
     character_table,
     factor,
     gcd,
-    is_irreducible,
     monic_sieve,
     poly_index,
     power_character,
@@ -37,16 +36,14 @@ from .polyring import (
 
 
 def residue_symbol(alpha: Poly, prime: Poly, n: int = 2) -> FieldElem:
-    """The n-th power residue symbol (alpha/P)_n.
+    """The n-th power residue symbol (alpha/P)_n for a monic prime P.
 
     Zero when P | alpha, else the constant alpha^{(q^{deg P}-1)/n} mod P
-    interpreted as an element of F_q.
+    interpreted as an element of F_q.  P must be prime; it is not tested
+    here (Place.finite tests it where text becomes a place).  ValueError
+    unless n >= 2 divides q - 1 and P is monic of positive degree.
     """
-    field = alpha.field
-    _require_root_order(field, n)
-    if not prime.is_monic or prime.is_constant or not is_irreducible(prime):
-        raise ValueError("lower argument must be a monic irreducible of positive degree")
-    return FieldElem(field, power_character(alpha, prime, n))
+    return FieldElem(alpha.field, power_character(alpha, prime, n))
 
 
 def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> FieldElem:

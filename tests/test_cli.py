@@ -207,6 +207,8 @@ def test_usage_errors(capsys):
     assert code == 2 and "divide" in err
     code, _, err = run(capsys, ["symbol", "--q", "3", "--alpha", "t&", "--prime", "t+1"])
     assert code == 2 and "malformed" in err
+    code, _, err = run(capsys, ["symbol", "--q", "3", "--alpha", "t", "--prime", "t^2+2*t"])
+    assert code == 2 and "irreducible" in err
     code, _, err = run(capsys, ["local-symbol", "--q", "2", "--alpha", "t",
                                 "--beta", "t", "--place", "t"])
     assert code == 2 and "odd" in err

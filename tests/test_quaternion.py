@@ -316,12 +316,19 @@ def _decompose_pair():
     return wp.a, wp.b
 
 
+def _assert_decomposes(x, a, b):
+    out = decompose_t_element(x, a, b)
+    assert out is not None
+    s1, s2 = out
+    assert s1 + s2 == x
+    assert s_global_member(s1, a, b) and s_global_member(s2, a, b)
+    return out
+
+
 def test_decompose_trivial_cases():
     a, b = _decompose_pair()
-    assert decompose_t_element(RatFunc.zero(F13), a, b) == (
-        RatFunc.constant(F13, 2), RatFunc.constant(F13, -2))
-    assert decompose_t_element(RatFunc.constant(F13, 4), a, b) == (
-        RatFunc.constant(F13, 2), RatFunc.constant(F13, 2))
+    for c in (0, 4):
+        _assert_decomposes(RatFunc.constant(F13, c), a, b)
 
 
 def test_decompose_generic():
@@ -333,11 +340,7 @@ def test_decompose_generic():
         if not t_member(x, a, b):
             continue
         done += 1
-        out = decompose_t_element(x, a, b, rng=Random(rng.getrandbits(32)))
-        assert out is not None
-        s1, s2 = out
-        assert s1 + s2 == x
-        assert s_global_member(s1, a, b) and s_global_member(s2, a, b)
+        _assert_decomposes(x, a, b)
 
 
 def test_decompose_preconditions():
@@ -361,8 +364,36 @@ def test_decompose_extension_base_field():
         if not t_member(x, wp.a, wp.b):
             continue
         done += 1
-        out = decompose_t_element(x, wp.a, wp.b, rng=Random(rng.getrandbits(32)))
-        assert out is not None
-        s1, s2 = out
-        assert s1 + s2 == x
-        assert s_global_member(s1, wp.a, wp.b) and s_global_member(s2, wp.a, wp.b)
+        _assert_decomposes(x, wp.a, wp.b)
+
+
+def test_decompose_when_delta_holds_every_linear_place():
+    # Delta(t^13 - t, 2) over F_13 is every degree-1 place and infinity, so
+    # no linear polynomial is a unit at all of Delta; the denominator M + 1
+    # of the construction still is
+    a = RatFunc.from_poly(parse_poly(F13, "t^13+12*t"))
+    b = RatFunc.constant(F13, 2)
+    assert len(delta(a, b)) == 14
+    _assert_decomposes(RatFunc(Poly.constant(F13, 10), parse_poly(F13, "t^3+8*t^2+t+11")), a, b)
+    rng = Random(113)
+    done = 0
+    while done < 8:
+        x = random_ratfunc(F13, rng, 3, nonzero=False)
+        if t_member(x, a, b):
+            done += 1
+            _assert_decomposes(x, a, b)
+
+
+def test_decompose_large_residue_field_is_deterministic():
+    # the residue field at t^2 + 3 over F_257 has 66,049 elements, and the
+    # first residue pair in enumeration order is found and reproduced
+    f257 = field_make(257)
+    wp = witness_pair(Place.finite(parse_poly(f257, "t^2+3")), smallest_nonsquare(f257), Random(5))
+    assert Place.finite(parse_poly(f257, "t^2+3")) in delta(wp.a, wp.b)
+    rng = Random(257)
+    done = 0
+    while done < 6:
+        x = random_ratfunc(f257, rng, 2, nonzero=False)
+        if t_member(x, wp.a, wp.b):
+            done += 1
+            assert _assert_decomposes(x, wp.a, wp.b) == decompose_t_element(x, wp.a, wp.b)
