@@ -4,8 +4,9 @@ A place is a monic irreducible polynomial P (uniformizer P) or the
 distinguished infinite place with uniformizer 1/t and valuation
 v_inf = deg(den) - deg(num).  divisor(x) is the one factored form of x:
 its finite primes with their valuations, computed once per x and cached.
-support and odd_support read it; valuation at one place strips that prime
-alone, which costs less than factoring a fraction seen once.  Completions
+support, odd_support and unit_character read it; valuation at one place
+strips that prime alone, which costs less than factoring a fraction seen
+once.  Completions
 are never materialized: every local question used downstream reduces to a
 valuation parity plus a square test in the residue field.
 """
@@ -309,6 +310,28 @@ def residue_character(place: Place, r: Poly | int) -> int:
     if place.is_infinite:
         return place.field.pow_(r, (place.field.q - 1) // 2)
     return power_character(r, place.prime)
+
+
+def unit_character(x: RatFunc, place: Place) -> int:
+    """chi_v(u_x) for the unit part u_x of the nonzero x: the code of 1 or
+    -1 that residue_character(place, square_class(x, place)[1]) gives, read
+    from the degrees at infinity and from divisor(x) at a finite P.
+
+    Outside the support u_x = x, so it is chi_P(num) chi_P(den).  Inside,
+    x = c prod_Q Q^{e_Q} with c = x.lead_ratio_code(), so it is chi_P(c)
+    prod_{Q != P, e_Q odd} chi_P(Q), where chi_P(c) = c^{((q - 1)/2) deg P}.
+    """
+    if place.is_infinite:
+        return residue_character(place, square_class_inf(x.num, x.den)[1])
+    field, prime = x.field, place.prime
+    div = divisor(x)
+    if all(other != prime for other, _ in div):
+        return field.mul(power_character(x.num, prime), power_character(x.den, prime))
+    code = field.pow_(x.lead_ratio_code(), (field.q - 1) // 2 * place.residue_degree)
+    for other, e in div:
+        if e % 2 and other != prime:
+            code = field.mul(code, power_character(other, prime))
+    return code
 
 
 def support(x: RatFunc, *, include_infinite: bool = True) -> frozenset[Place]:

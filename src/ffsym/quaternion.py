@@ -20,17 +20,18 @@ from .gf import Field
 from .places import (
     Place,
     RatFunc,
+    divisor,
     is_square_local,
     odd_support,
     residue,
     residue_inf,
     sorted_places,
     support,
+    unit_character,
     val_at_least,
     valuation,
 )
 from .polyring import Poly, enumerate_residues, invmod, power_character
-from .symbols import local_symbol
 
 SUMSET_MIN_FIELD_SIZE = 11  # trace sumsets cover the residue field only above this
 
@@ -67,15 +68,32 @@ class RamificationSet:
 
 @lru_cache(maxsize=8192)
 def _delta_cached(a: RatFunc, b: RatFunc) -> RamificationSet:
-    candidates = set(odd_support(a)) | set(odd_support(b))
-    ramified = frozenset(
-        place for place in candidates if local_symbol(a, b, place).sign == -1
-    )
-    return RamificationSet(a, b, ramified)
+    field = a.field
+    div_a, div_b = dict(divisor(a)), dict(divisor(b))
+    ramified = []
+    for place in odd_support(a) | odd_support(b):
+        if place.is_infinite:
+            m, k = valuation(a, place), valuation(b, place)
+        else:
+            m, k = div_a.get(place.prime, 0), div_b.get(place.prime, 0)
+        # chi(-1)^{mk} chi(u_a)^k chi(u_b)^m, taking only the characters
+        # that an odd exponent needs; chi(-1) = -1 exactly when q^h = 3 mod 4
+        code = unit_character(a, place) if k % 2 else field.one_code
+        if m % 2:
+            code = field.mul(code, unit_character(b, place))
+            if k % 2 and pow(field.q, place.residue_degree, 4) == 3:
+                code = field.neg(code)
+        if code == field.neg_one_code:
+            ramified.append(place)
+    return RamificationSet(a, b, frozenset(ramified))
 
 
 def delta(a: RatFunc, b: RatFunc) -> RamificationSet:
-    """Ramified places of H_{a,b}; candidates are the joint odd support."""
+    """Ramified places of H_{a,b}; candidates are the joint odd support.
+
+    Each candidate's tame symbol is read from the divisors that odd_support
+    has cached (places.unit_character), dividing nothing; local_symbol,
+    which strips P from num*den, stays its independent oracle."""
     if a.is_zero or b.is_zero:
         raise ValueError("ramification set needs nonzero arguments")
     if a.field.q % 2 == 0:
@@ -99,9 +117,10 @@ class HilbertResult:
 def hilbert_product(alpha: RatFunc, beta: RatFunc) -> HilbertResult:
     """Local symbols over the joint support plus infinity, and their product.
 
-    The sign is -1 exactly on Delta(alpha, beta): outside the joint odd
-    support both valuations are even and the tame symbol
-    chi(-1)^{mk} chi(u_alpha)^k chi(u_beta)^m is 1 (see local_symbol)."""
+    The sign is -1 exactly on Delta(alpha, beta), read from the cached
+    delta: outside the joint odd support both valuations are even and the
+    tame symbol chi(-1)^{mk} chi(u_alpha)^k chi(u_beta)^m is 1, so no
+    symbol is evaluated here."""
     if alpha.is_zero or beta.is_zero:
         raise ValueError("product formula needs nonzero arguments")
     ramified = delta(alpha, beta).places

@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 from random import Random
 

@@ -21,7 +21,6 @@ from ffsym.places import (
 )
 from ffsym.polyring import (
     Poly, factor, invmod, is_irreducible, monic_irreducibles, parse_poly, random_irreducible,
-    random_poly,
 )
 
 F3 = field_make(3)

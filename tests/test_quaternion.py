@@ -1,10 +1,11 @@
+from collections import Counter
 from random import Random
 
 import pytest
 
 from ffsym.definability import witness_pair
 from ffsym.gf import field_make, smallest_nonsquare
-from ffsym import places, quaternion
+from ffsym import places, quaternion, symbols
 from ffsym.places import (
     Place,
     RatFunc,
@@ -13,6 +14,7 @@ from ffsym.places import (
     random_ratfunc,
     sorted_places,
     support,
+    unit_character,
     valuation,
 )
 from ffsym.polyring import Poly, monic_irreducibles, parse_poly, random_irreducible
@@ -32,7 +34,6 @@ from ffsym.quaternion import (
     t_unit_member,
     u_set,
 )
-from ffsym.places import is_square_local
 from ffsym.symbols import local_symbol
 
 F3 = field_make(3)
@@ -108,27 +109,81 @@ def test_hilbert_product_matches_local_symbols(p, e):
 
 @pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (257, 1), (3, 2), (3, 5)])
 def test_hilbert_product_evaluates_each_symbol_once(p, e, monkeypatch):
-    # hilbert_product evaluates the local symbol once per place of the joint
-    # odd support, and the delta after it reads the cached Delta
+    # on a fresh pair, delta evaluates each place of the joint odd support
+    # once, by one unit character per side whose partner has odd valuation
+    # there; hilbert_product evaluates nothing of its own, a delta after it
+    # is a cache hit, and the strip-based oracle path is never reached
     field = field_make(p, e)
     rng = Random(f"symbols-once:{p}^{e}")
     pairs = [(random_ratfunc(field, rng, 3), random_ratfunc(field, rng, 3)) for _ in range(20)]
+    expected = []
+    for a, b in pairs:
+        needed = Counter()
+        for place in odd_support(a) | odd_support(b):
+            if valuation(b, place) % 2:
+                needed[a, place] += 1
+            if valuation(a, place) % 2:
+                needed[b, place] += 1
+        assert set(place for _, place in needed) == odd_support(a) | odd_support(b)
+        expected.append(needed)
     calls = []
 
-    def counting_local_symbol(a, b, place):
-        calls.append(place)
-        return local_symbol(a, b, place)
+    def counting_unit_character(x, place):
+        calls.append((x, place))
+        return unit_character(x, place)
 
-    monkeypatch.setattr(quaternion, "local_symbol", counting_local_symbol)
-    for a, b in pairs:
+    def unreachable(*args):
+        raise AssertionError("the delta path reached the strip-based oracle")
+
+    monkeypatch.setattr(quaternion, "unit_character", counting_unit_character)
+    for module, name in ((symbols, "local_symbol"), (places, "square_class"), (places, "_strip_prime")):
+        monkeypatch.setattr(module, name, unreachable)
+    for (a, b), needed in zip(pairs, expected):
         places.divisor.cache_clear()
         quaternion._delta_cached.cache_clear()
         calls.clear()
         hilbert_product(a, b)
-        assert sorted_places(calls) == sorted_places(odd_support(a) | odd_support(b))
+        assert Counter(calls) == needed
         calls.clear()
         delta(a, b)
         assert calls == []
+
+
+# q^h mod 4 for the shared primes below: F_3 and F_{3^5} have q = 3 mod 4,
+# so a prime of odd degree has chi(-1) = -1 and one of even degree has 1
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (13, 1), (257, 1), (65521, 1),
+                                 (3, 2), (3, 5), (5, 4), (17, 2)])
+def test_delta_matches_local_symbol_oracle(p, e):
+    # delta (tame symbols read from the divisors) against local_symbol
+    # (P stripped from num*den) at every place of the joint support and inf,
+    # on pairs sharing a prime P of degree 1 or 2 to the powers (m, k)
+    field = field_make(p, e)
+    rng = Random(f"delta-oracle:{p}^{e}")
+    inf = Place.infinite(field)
+    powers = [(1, 1), (1, -1), (-3, 1), (1, 2), (2, 1), (-2, 3), (3, 0), (0, -1)]
+    seen = Counter()
+    for i in range(48):
+        m, k = powers[i % len(powers)]
+        h = 1 + i // len(powers) % 2
+        shared = RatFunc.from_poly(random_irreducible(field, rng, h))
+        a = random_ratfunc(field, rng, 2) * shared ** m
+        b = random_ratfunc(field, rng, 2) * shared ** k
+        joint = support(a) | support(b) | {inf}
+        want = frozenset(place for place in joint if local_symbol(a, b, place).sign == -1)
+        assert delta(a, b).places == want
+        for place in joint:
+            m_odd, k_odd = valuation(a, place) % 2, valuation(b, place) % 2
+            if m_odd and k_odd:
+                seen["both odd", pow(field.q, place.residue_degree, 4), place in want] += 1
+            elif m_odd or k_odd:
+                seen["one odd", valuation(b if m_odd else a, place) != 0] += 1
+    # every case of the tame symbol occurs: both valuations odd, ramified or
+    # not, for each value of q^h mod 4 the field has; one valuation odd with
+    # the other zero and with the other even and nonzero
+    residues = {1, 3} if field.q % 4 == 3 else {1}
+    for r in residues:
+        assert seen["both odd", r, True] and seen["both odd", r, False]
+    assert seen["one odd", True] and seen["one odd", False]
 
 
 def test_delta_square_scaling_invariance():

@@ -10,10 +10,8 @@ from ffsym.places import (
     Place,
     RatFunc,
     is_square_local,
-    odd_support,
     parse_ratfunc,
     random_ratfunc,
-    residue,
     sorted_places,
     support,
     valuation,
