@@ -75,14 +75,12 @@ from .definability import (
     member_A,
     member_A_union_Ainf_semantic,
     member_A_union_Ainf_theorem,
-    phi_inf,
     sample_d_pairs,
     witness_pair,
 )
 from .dirichlet import (
     APQuery,
     UniformityReport,
-    euler_phi,
     find_prime_in_ap,
     pi_ap,
     pi_q,

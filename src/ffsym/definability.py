@@ -11,8 +11,8 @@ pair whose ramification set is {P, inf} for a prime P of the denominator.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .dirichlet import find_prime_in_ap
 from .gf import Field, FieldElem, smallest_nonsquare
@@ -39,12 +39,6 @@ def _check_epsilon(field: Field, epsilon: FieldElem | None) -> FieldElem:
     if epsilon.code == 0 or field.is_square_code(epsilon.code):
         raise ValueError("epsilon must be a nonsquare constant")
     return epsilon
-
-
-def phi_inf(c: RatFunc) -> bool:
-    """True iff c is a square in the completion at infinity: the
-    leading-coefficient ratio is a square and v_inf(c) is even."""
-    return inf_square_class(c) is InfSquareClass.SQUARE
 
 
 class InfSquareClass(enum.Enum):
@@ -102,8 +96,7 @@ def _in_d(ca: InfSquareClass, cb: InfSquareClass) -> bool:
     return (ca is h_sq and cb in _ODD_AT_INF) or (cb is h_sq and ca in _ODD_AT_INF)
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """A pair (epsilon*P, epsilon*Q) ramified exactly at {P, inf}, with
     deg Q of opposite parity to deg P."""
 
@@ -193,16 +186,14 @@ def is_constant_semantic(x: RatFunc) -> bool:
     return x.num.is_constant and x.den.is_constant
 
 
-@dataclass(frozen=True)
-class PairEvidence:
+class PairEvidence(NamedTuple):
     a: RatFunc
     b: RatFunc
     source: str  # "witness" or "random"
     accepted: bool  # r_tilde membership of the tested element
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     member: bool        # the semantic verdict
     agrees: bool        # theorem-side evidence matches the semantic verdict
     evidence: tuple[PairEvidence, ...]
@@ -276,8 +267,7 @@ def member_A_union_Ainf_theorem(
     return MembershipReport(False, not accepted, (ev,))
 
 
-@dataclass(frozen=True)
-class PolynomialMembershipReport:
+class PolynomialMembershipReport(NamedTuple):
     member: bool
     agrees: bool
     union_report: MembershipReport

@@ -1,4 +1,4 @@
-"""Prime counting in F_q[t]: the polynomial Euler function, exact counts
+"""Prime counting in F_q[t]: the Phi_q(f) unit residues mod f, exact counts
 of monic irreducibles in arithmetic progressions, and a uniformity report
 comparing each residue class against the equidistribution prediction
 pi_q(k) / Phi_q(f).
@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .gf import prime_divisors
 from .polyring import (
@@ -33,31 +33,23 @@ def pi_q(q: int, k: int) -> int:
     return total // k
 
 
-def euler_phi(f: Poly) -> int:
-    """Phi_q(f): units of F_q[t]/(f), by the product formula over primes."""
-    if f.is_zero:
-        raise ValueError("Euler function of zero is undefined")
-    q = f.field.q
-    total = 1
-    for prime, mult in factor(f):
-        d = len(prime.coeffs) - 1
-        total *= q ** (d * (mult - 1)) * (q ** d - 1)
-    return total
-
-
-@dataclass(frozen=True)
-class APQuery:
-    """Count monic irreducibles of degree k congruent to c mod f."""
-
+class _APFields(NamedTuple):
     f: Poly
     c: Poly
     k: int
 
-    def __post_init__(self):
-        if self.k < 0:
+
+class APQuery(_APFields):
+    """Count monic irreducibles of degree k congruent to c mod f."""
+
+    __slots__ = ()  # a NamedTuple body cannot define __new__, so it checks here
+
+    def __new__(cls, f: Poly, c: Poly, k: int) -> APQuery:
+        if k < 0:
             raise ValueError("target degree must be >= 0")
-        if gcd(self.c, self.f).degree != 0:
+        if gcd(c, f).degree != 0:
             raise ValueError("residue and modulus must be coprime")
+        return super().__new__(cls, f, c, k)
 
 
 def pi_ap(query: APQuery) -> int:
@@ -92,15 +84,13 @@ def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Pol
     return None
 
 
-@dataclass(frozen=True)
-class UniformityRow:
+class UniformityRow(NamedTuple):
     residue: Poly
     count: int
     deviation: float  # |count/expected - 1|
 
 
-@dataclass(frozen=True)
-class UniformityReport:
+class UniformityReport(NamedTuple):
     f: Poly
     k: int
     pi_k: int

@@ -13,8 +13,8 @@ valuation conditions over Delta(a, b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .gf import Field
 from .places import (
@@ -40,8 +40,7 @@ class EmptyRamificationError(ValueError):
     """Raised by predicates that intersect over an empty Delta(a, b)."""
 
 
-@dataclass(frozen=True)
-class RamificationSet:
+class RamificationSet(NamedTuple):
     """The places where H_{a,b} is ramified, with the defining pair."""
 
     a: RatFunc
@@ -58,6 +57,7 @@ class RamificationSet:
     def __contains__(self, place: Place) -> bool:
         return place in self.places
 
+    # len() counts places, not fields, so namedtuple's _make and _replace fail
     def __len__(self) -> int:
         return len(self.places)
 
@@ -101,8 +101,7 @@ def delta(a: RatFunc, b: RatFunc) -> RamificationSet:
     return _delta_cached(a, b)
 
 
-@dataclass(frozen=True)
-class HilbertResult:
+class HilbertResult(NamedTuple):
     per_place: tuple[tuple[Place, int], ...]  # canonical place order, signs
     product: int
 
@@ -233,14 +232,14 @@ def r_tilde_member(x: RatFunc, a: RatFunc, b: RatFunc) -> bool:
 # --- the irreducible-trace sets U ---
 
 
-@dataclass(frozen=True)
-class USet:
+class USet(NamedTuple):
     """Residue-field elements eps with x^2 - eps*x + 1 irreducible."""
 
     field: Field
     members: tuple[int, ...]  # element codes, ascending
     sumset_covers: bool
 
+    # len() counts members, not fields, so namedtuple's _make and _replace fail
     def __len__(self) -> int:
         return len(self.members)
 

@@ -10,8 +10,8 @@ registry.  All randomness flows from the caller's seed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .definability import (
     member_A_union_Ainf_semantic,
@@ -35,8 +35,7 @@ from .quaternion import (
 from .symbols import local_symbol, reciprocity_sweep, residue_symbol
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: int
     name: str
     passed: bool

@@ -17,7 +17,7 @@ argument (its leading coefficient is ignored by definition).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf import Field, FieldElem
 from .places import Place, RatFunc, residue_character, square_class
@@ -74,8 +74,7 @@ def sign_n(f: Poly, n: int = 2) -> FieldElem:
     return FieldElem(field, field.pow_(f.lead_code, (field.q - 1) // n))
 
 
-@dataclass(frozen=True)
-class ReciprocityCheck:
+class ReciprocityCheck(NamedTuple):
     lhs: FieldElem
     rhs: FieldElem
 
@@ -151,16 +150,14 @@ def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> FieldElem:
 # by one comparison; only a block that fails it is enumerated pair by pair.
 
 
-@dataclass(frozen=True)
-class SweepViolation:
+class SweepViolation(NamedTuple):
     alpha: Poly
     beta: Poly
     lhs: FieldElem
     rhs: FieldElem
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     field_spec: str
     max_deg: int
     n: int

@@ -10,7 +10,6 @@ from ffsym.definability import (
     member_A,
     member_A_union_Ainf_semantic,
     member_A_union_Ainf_theorem,
-    phi_inf,
     sample_d_pairs,
     witness_pair,
 )
@@ -23,12 +22,22 @@ F3 = field_make(3)
 F5 = field_make(5)
 
 
+def phi_inf(c):
+    # the formula read literally: c = (lead num / lead den) t^{-v_inf(c)} times a
+    # 1-unit, so c is a square at infinity exactly when v_inf(c) is even and
+    # the leading-coefficient ratio is a square
+    field = c.field
+    ratio = field.div(c.num.lead_code, c.den.lead_code)
+    return valuation(c, Place.infinite(field)) % 2 == 0 and field.is_square_code(ratio)
+
+
 def test_phi_inf_examples():
-    assert phi_inf(parse_ratfunc(F3, "t^2"))
-    assert not phi_inf(parse_ratfunc(F3, "2*t^2"))
-    assert phi_inf(parse_ratfunc(F3, "t+1/t"))
+    for text, square in (("t^2", True), ("2*t^2", False), ("t+1/t", True), ("t", False)):
+        x = parse_ratfunc(F3, text)
+        assert phi_inf(x) is square
+        assert (inf_square_class(x) is InfSquareClass.SQUARE) is square
     with pytest.raises(ValueError):
-        phi_inf(RatFunc.zero(F3))
+        inf_square_class(RatFunc.zero(F3))
 
 
 def test_phi_inf_on_squares():
@@ -37,6 +46,7 @@ def test_phi_inf_on_squares():
         for _ in range(100):
             x = random_ratfunc(field, rng, 3)
             assert phi_inf(x * x)
+            assert inf_square_class(x * x) is InfSquareClass.SQUARE
 
 
 def test_inf_square_class_examples():

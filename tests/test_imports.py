@@ -1,8 +1,11 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and no library module imports
+dataclasses.
 
 The scan is stdlib ast only: an imported binding counts as used when a Name
 node reads it, when a quoted annotation mentions it, or when __all__ lists
 it.  src/ffsym/__init__.py is exempt, since it imports only to re-export.
+A frozen dataclass execs its generated methods when its class is created, on
+every import of the library; the result records are NamedTuples instead.
 """
 
 import ast
@@ -11,8 +14,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC_FILES = sorted((ROOT / "src" / "ffsym").glob("*.py"))
 FILES = sorted(
-    [path for path in (ROOT / "src" / "ffsym").glob("*.py") if path.name != "__init__.py"]
+    [path for path in SRC_FILES if path.name != "__init__.py"]
     + list((ROOT / "tests").rglob("*.py")),
 )
 
@@ -71,3 +75,31 @@ def test_scan_finds_unused_imports():
         "    return os.path.sep\n"
     )
     assert unused_imports(source) == ["Random (line 4)", "itertools (line 2)", "pick (line 4)"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute modules a module imports."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+@pytest.mark.parametrize("path", SRC_FILES, ids=[str(path.relative_to(ROOT)) for path in SRC_FILES])
+def test_no_dataclasses_import(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_scan_finds_imported_modules():
+    source = (
+        "import dataclasses as dc\n"
+        "import os.path\n"
+        "from typing import NamedTuple\n"
+        "from . import gf\n"
+        "def f():\n"
+        "    from json import dumps\n"
+    )
+    assert imported_modules(source) == {"dataclasses", "json", "os", "typing"}
