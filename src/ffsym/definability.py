@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .dirichlet import find_prime_in_ap
 from .gf import Field, FieldElem, smallest_nonsquare
 from .places import Place, RatFunc, divisor, square_class_inf, valuation
-from .polyring import Poly, power_character, random_irreducible, random_poly
+from .polyring import Poly, _random_codes, power_character, random_irreducible, random_poly
 from .quaternion import RamificationSet, delta, r_tilde_member
 
 DEFAULT_WITNESS_DEGREE_SLACK = 6
@@ -115,7 +115,7 @@ def _nonsquare_residue(prime: Poly, rng: Random) -> Poly:
     field = prime.field
     d = len(prime.coeffs) - 1
     while True:
-        r = Poly(field, [rng.randrange(field.q) for _ in range(d)])
+        r = Poly(field, _random_codes(rng, field.q, d))
         if power_character(r, prime) == field.neg_one_code:  # 0 when r is zero
             return r
 
@@ -221,7 +221,7 @@ def sample_d_pairs(
     pairs: list[tuple[RatFunc, RatFunc, str]] = []
     while len(pairs) < count:
         if rng.random() < 0.5:
-            prime = random_irreducible(field, rng, rng.randint(1, max_prime_deg))
+            prime = random_irreducible(field, rng, 1 + _random_codes(rng, max_prime_deg, 1)[0])
             wp = witness_pair(Place.finite(prime, trusted=True), epsilon, rng)
             pairs.append((wp.a, wp.b, "witness"))
         else:

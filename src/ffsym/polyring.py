@@ -336,8 +336,10 @@ def power_character(r: Poly, prime: Poly, n: int = 2) -> int:
 
     As (q^d - 1)/n = ((q^d - 1)/(q - 1)) ((q - 1)/n), it is read as
     N(r)^((q - 1)/n) from the norm N(r mod P) = Res(P, r), which one
-    remainder sequence gives in O(d^2) field operations whatever q is.
-    ValueError unless n >= 2 divides q - 1 and P is monic of positive degree.
+    remainder sequence gives in O(d^2) field operations whatever q is.  A
+    composite monic P gives the product over its factorization (a Jacobi
+    symbol).  ValueError unless n >= 2 divides q - 1 and P is monic of
+    positive degree.
     """
     field = r.field
     _require_root_order(field, n)
@@ -514,7 +516,7 @@ def _equal_degree_split(f: Poly, d: int, rng: Random) -> list[Poly]:
         return [f]
     q = field.q
     while True:
-        u = Poly(field, [rng.randrange(q) for _ in range(n)])
+        u = Poly(field, _random_codes(rng, q, n))
         if u.degree is NEG_INF or u.degree == 0:
             continue
         if q % 2 == 1:
@@ -702,6 +704,22 @@ def monic_irreducibles(field: Field, k: int) -> tuple[Poly, ...]:
                  if sieve.least[h] == h)
 
 
+def _random_codes(rng: Random, n: int, count: int) -> list[int]:
+    """count uniform integers in [0, n) by Random._randbelow's rejection loop
+    on getrandbits: the values and end state of count range draws below n."""
+    if n < 1:
+        raise ValueError("empty range")  # every draw would be rejected
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    codes = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        codes.append(r)
+    return codes
+
+
 def random_poly(
     field: Field,
     rng: Random,
@@ -712,9 +730,9 @@ def random_poly(
     exact_deg: bool = False,
 ) -> Poly:
     while True:
-        deg = max_deg if exact_deg else rng.randint(0, max_deg)
-        codes = [rng.randrange(field.q) for _ in range(deg)]
-        codes.append(field.one_code if monic else rng.randrange(1, field.q))
+        deg = max_deg if exact_deg else _random_codes(rng, max_deg + 1, 1)[0]
+        codes = _random_codes(rng, field.q, deg)
+        codes.append(field.one_code if monic else 1 + _random_codes(rng, field.q - 1, 1)[0])
         f = Poly(field, codes, trusted=True)
         if not exact_deg and not monic and rng.random() < 1.0 / (max_deg + 2):
             f = Poly.zero(field)  # give the zero polynomial some mass

@@ -27,7 +27,6 @@ from .polyring import (
     _reduction,
     _require_root_order,
     character_table,
-    factor,
     gcd,
     monic_sieve,
     poly_index,
@@ -47,7 +46,8 @@ def residue_symbol(alpha: Poly, prime: Poly, n: int = 2) -> FieldElem:
 
 
 def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> FieldElem:
-    """(alpha/beta)_n over the monic prime factorization of beta.
+    """(alpha/beta)_n over the monic prime factorization of beta, read from
+    one resultant as power_character(alpha, monic(beta), n): no factoring.
 
     The leading coefficient of beta is ignored; constant beta gives the
     empty product 1.  The value is zero exactly when gcd(alpha, beta) has
@@ -57,12 +57,9 @@ def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> FieldElem:
     _require_root_order(field, n)
     if beta.is_zero:
         raise ValueError("lower argument must be nonzero")
-    out = field.one
-    for prime, mult in factor(beta):
-        out = out * FieldElem(field, power_character(alpha, prime, n)) ** mult
-        if out.is_zero:
-            return out
-    return out
+    if beta.is_constant:
+        return field.one
+    return FieldElem(field, power_character(alpha, beta.monic(), n))
 
 
 def sign_n(f: Poly, n: int = 2) -> FieldElem:

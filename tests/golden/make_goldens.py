@@ -89,6 +89,14 @@ CASES = {
     # joint support outside the odd support; Delta is {t+1, t+4}
     "hilbert_even_valuations_5": ["hilbert", "--q", "5", "--alpha", "t^3+t^2",
                                   "--beta", "t^3+4*t^2"],
+    # the RNG stream where draws are rejected: 3-bit draws below 7 and 9-bit
+    # draws below 257 in sample_d_pairs, the nonsquare residue of an
+    # even-degree prime, and find_prime_in_ap's probes of degree 2
+    "membership_7_t4": ["membership", "--q", "7", "--target", "A", "--x", "t^4+3*t+5"],
+    "membership_257_t3": ["membership", "--q", "257", "--target", "A", "--x", "t^3+100*t+1",
+                          "--samples", "8"],
+    "witness_13_t2p2": ["witness", "--q", "13", "--prime", "t^2+2"],
+    "ap_primes_257_k3": ["ap-primes", "--q", "257", "--f", "t+3", "--c", "5", "--k", "3"],
 }
 
 

@@ -116,10 +116,32 @@ def test_residue_symbol_general_trusts_factor(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for alpha, beta, fac in factored:
-        value = F5.one
-        for prime, mult in fac:
-            value = value * residue_symbol(alpha, prime) ** mult
-        assert residue_symbol_general(alpha, beta) == value
+        assert residue_symbol_general(alpha, beta) == _factored_symbol(alpha, fac)
+
+
+def _factored_symbol(alpha, factors, n=2):
+    # the definition: the product of (alpha/P)_n^e over the factorization
+    value = alpha.field.one
+    for prime, mult in factors:
+        value = value * residue_symbol(alpha, prime, n) ** mult
+    return value
+
+
+@pytest.mark.parametrize("p,e,n", [
+    (3, 1, 2), (7, 1, 3), (7, 1, 6), (13, 1, 4), (3, 2, 8), (5, 2, 3), (257, 1, 2),
+    (2, 2, 3), (2, 3, 7), (3, 5, 2),
+])
+def test_residue_symbol_general_matches_factored_product(p, e, n):
+    # one resultant against the product over the factorization of beta, on
+    # random pairs, repeated factors and shared factors
+    field = field_make(p, e)
+    rng = Random(f"general-vs-factored:{p}^{e}:{n}")
+    for _ in range(40):
+        alpha = random_poly(field, rng, 6)
+        beta = random_poly(field, rng, 6, nonzero=True)
+        g = random_poly(field, rng, 2, nonzero=True)
+        for a, b in ((alpha, beta), (alpha, beta * g * g), (alpha * g, beta * g)):
+            assert residue_symbol_general(a, b, n) == _factored_symbol(a, factor(b), n)
 
 
 def test_sign_n_examples():
@@ -394,8 +416,8 @@ def test_local_path_factors_each_fraction_once(p, e, monkeypatch):
         calls.append(f)
         return polyring.factor(f, rng)
 
-    for module in (places, symbols):
-        monkeypatch.setattr(module, "factor", counting_factor)
+    assert not hasattr(symbols, "factor")  # symbols reads places' divisors
+    monkeypatch.setattr(places, "factor", counting_factor)
     for (a, b), out in zip(pairs, expected):
         places.divisor.cache_clear()
         quaternion._delta_cached.cache_clear()
