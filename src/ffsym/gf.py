@@ -223,6 +223,13 @@ class Field:
             raise ValueError("square test by log parity requires odd q")
         return self._log[a] % 2 == 0
 
+    def sqrt_code(self, a: int) -> int:
+        """The square root g^(k/2) of a square a = g^k in odd q (0 for 0);
+        ValueError for a nonsquare."""
+        if not self.is_square_code(a):
+            raise ValueError("square root of a nonsquare")
+        return self._exp[self._log[a] // 2] if a else 0
+
     # --- construction / presentation ---
 
     def elem(self, value: Union[int, "FieldElem", Sequence[int]]) -> "FieldElem":

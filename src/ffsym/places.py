@@ -65,7 +65,8 @@ class Place:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.field.e, self.prime.coeffs if self.prime else None))
+        # () for infinity: hash(None) varies between processes before Python 3.12
+        return hash((self.field.p, self.field.e, self.prime.coeffs if self.prime else ()))
 
     def __repr__(self) -> str:
         return "inf" if self.prime is None else format_poly(self.prime)

@@ -211,11 +211,17 @@ class Poly:
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0 and gcd(f, 0) = monic(f)."""
+    """Monic gcd; gcd(0, 0) = 0 and gcd(f, 0) = monic(f).  Euclid on code
+    lists: each step keeps only the remainder of the _reduce_codes fold."""
     f._check(g)
-    while not g.is_zero:
-        f, g = g, f % g
-    return f.monic()
+    field = f.field
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        r = _reduce_codes(a, (b[:-1], field.inv(b[-1])), field)
+        while r and r[-1] == 0:
+            r.pop()
+        a, b = b, r
+    return Poly(field, a, trusted=True).monic()
 
 
 def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -491,9 +497,22 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
+def _discriminant(f: Poly) -> int:
+    # c1^2 - 4 c0 of a monic quadratic; 4 % p is the code of the constant 4
+    field = f.field
+    c0, c1 = f.coeffs[0], f.coeffs[1]
+    return field.sub(field.mul(c1, c1), field.mul(4 % field.p, c0))
+
+
 def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
     # squarefree monic f -> (product of degree-d irreducibles, d); lazy in d
     q = f.field.q
+    if q % 2 and len(f.coeffs) == 3:
+        # a quadratic over odd q splits into linears exactly when its
+        # discriminant is a square; a repeated root (discriminant 0) reads
+        # as degree 1 too, so Ben-Or still rejects a square of a linear
+        yield f, 1 if f.field.is_square_code(_discriminant(f)) else 2
+        return
     x = h = Poly.t(f.field)
     d = 1
     while len(f.coeffs) - 1 >= 2 * d:
@@ -508,13 +527,22 @@ def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
         yield f, len(f.coeffs) - 1
 
 
-def _equal_degree_split(f: Poly, d: int, rng: Random) -> list[Poly]:
-    # f a product of >= 1 distinct monic irreducibles of degree d
+def _equal_degree_split(f: Poly, d: int, rng: Random | None) -> list[Poly]:
+    # f a product of >= 1 distinct monic irreducibles of degree d; a None rng
+    # is seeded with _FACTOR_SEED once Cantor-Zassenhaus must draw
     field = f.field
     n = len(f.coeffs) - 1
     if n == d:
         return [f]
     q = field.q
+    if q % 2 and n == 2:
+        # d = 1: t - r = t + (c1 + z)/2 for the roots r = (-c1 - z)/2, z = +-s
+        # and s^2 = c1^2 - 4 c0
+        s, half = field.sqrt_code(_discriminant(f)), field.inv(2)
+        return [Poly(field, (field.mul(field.add(f.coeffs[1], z), half), 1), trusted=True)
+                for z in (s, field.neg(s))]
+    if rng is None:
+        rng = Random(_FACTOR_SEED)
     while True:
         u = Poly(field, _random_codes(rng, q, n))
         if u.degree is NEG_INF or u.degree == 0:
@@ -555,8 +583,6 @@ def _walk_factor(f: Poly, rng: Random | None = None) -> tuple[tuple[Poly, int], 
     factors = []
     for squarefree, mult in _squarefree_parts(f.monic()):
         for prod, d in _distinct_degree(squarefree):
-            if rng is None and len(prod.coeffs) - 1 > d:
-                rng = Random(_FACTOR_SEED)
             factors.extend((prime, mult) for prime in _equal_degree_split(prod, d, rng))
     return tuple(sorted(factors, key=lambda pm: pm[0].sort_key()))
 

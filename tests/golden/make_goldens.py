@@ -97,6 +97,12 @@ CASES = {
                           "--samples", "8"],
     "witness_13_t2p2": ["witness", "--q", "13", "--prime", "t^2+2"],
     "ap_primes_257_k3": ["ap-primes", "--q", "257", "--f", "t+3", "--c", "5", "--k", "3"],
+    # the Frobenius walk on split and irreducible quadratics and on quartics,
+    # above the sieve cap, over a prime field and an extension field
+    "hilbert_257_quadratics": ["hilbert", "--q", "257", "--alpha", "t^2+3*t+2/t^2+3",
+                               "--beta", "5*t^2+t+1/t^4+1"],
+    "ext_delta_3e5_quadratics": ["delta", "--q", "3^5", "--a", "t^2+[1,1]*t+[2]/t^2+[0,1]",
+                                 "--b", "[0,1]*t^2+1/t^3+t+1"],
 }
 
 

@@ -192,6 +192,26 @@ def test_square_structure(p, e):
             )
 
 
+@pytest.mark.parametrize("p,e", ODD_Q + [(257, 1), (3, 5), (5, 4)])
+def test_sqrt_code_matches_brute_force_squares(p, e):
+    # every square has a root that squares back to it, and every nonsquare
+    # (an element that is no x^2) is refused
+    field = field_make(p, e)
+    squares = {field.mul(x, x) for x in range(field.q)}
+    for a in range(field.q):
+        if a in squares:
+            assert field.mul(field.sqrt_code(a), field.sqrt_code(a)) == a
+        else:
+            with pytest.raises(ValueError):
+                field.sqrt_code(a)
+    assert field.sqrt_code(0) == 0
+
+
+def test_sqrt_code_requires_odd_q():
+    with pytest.raises(ValueError):
+        field_make(2, 3).sqrt_code(1)
+
+
 def test_smallest_nonsquare():
     assert smallest_nonsquare(field_make(3)).code == 2
     assert smallest_nonsquare(field_make(5)).code == 2

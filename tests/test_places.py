@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -161,6 +165,22 @@ def test_divisor_is_the_factored_form(p, e):
             assert divisor(RatFunc.from_poly(x.num)) == factor(x.num)
     with pytest.raises(ValueError):
         divisor(RatFunc.zero(field))
+
+
+def test_place_hashes_agree_between_processes():
+    # a place hashes only ints, so sets of places iterate in one order in
+    # every process: the infinite place included
+    code = (
+        "from ffsym.gf import field_make\n"
+        "from ffsym.places import Place, odd_support, parse_ratfunc\n"
+        "F = field_make(7)\n"
+        "x = parse_ratfunc(F, 't^3+2*t+1/t^4+3*t^2+5')\n"
+        "print(hash(Place.infinite(F)), [str(p) for p in odd_support(x)])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, timeout=60, check=True).stdout for _ in range(2)]
+    assert outs[0] == outs[1] and "inf" in outs[0]
 
 
 def test_odd_support_examples():

@@ -78,6 +78,74 @@ def test_divmod_examples():
         divmod(t, Poly.zero(F3))
 
 
+def _euclid(f, g):
+    # the test's own gcd: Euclid on Poly remainders, then monic
+    while not g.is_zero:
+        f, g = g, f % g
+    return f.monic()
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (257, 1), (3, 2), (2, 3), (3, 5), (5, 4)],
+                         ids=["F2", "F3", "F257", "F9", "F8", "F243", "F625"])
+def test_gcd_matches_poly_euclid(p, e):
+    # random pairs, pairs with a common factor, and zero and constant inputs
+    field = field_make(p, e)
+    rng = Random(f"gcd:{field.spec}")
+    zero = Poly.zero(field)
+    for _ in range(60):
+        f, g = random_poly(field, rng, 5), random_poly(field, rng, 5)
+        h = random_poly(field, rng, 3, nonzero=True)
+        for x, y in ((f, g), (f * h, g * h), (f, zero), (zero, g), (f, f),
+                     (h.scale(field.neg_one_code), f * h)):
+            assert gcd(x, y) == _euclid(x, y)
+        c = Poly.constant(field, rng.randrange(1, p))
+        assert gcd(c, f) == gcd(f, c) == Poly.one(field)
+    assert gcd(zero, zero) == zero
+    with pytest.raises(ValueError, match="mixed field descriptors"):
+        gcd(Poly.t(field), Poly.t(F5))
+
+
+def _ben_or_irreducible(f):
+    # the test's own Ben-Or step for a monic quadratic: no root in F_q
+    # exactly when gcd(t^q - t, f) = 1
+    t = Poly.t(f.field)
+    return _euclid(powmod(t, f.field.q, f) - t, f).degree == 0
+
+
+@pytest.mark.parametrize("p, e", [(257, 1), (3, 5), (5, 4), (65521, 1)],
+                         ids=["F257", "F243", "F625", "F65521"])
+def test_quadratic_closed_form_matches_ben_or(p, e):
+    # above the sieve cap a monic quadratic over odd q is decided by its
+    # discriminant and split by its square root: random quadratics, products
+    # of two distinct linears and squares of linears
+    field = field_make(p, e)
+    assert field.q ** 2 > SIEVE_CAP
+    rng = Random(f"quadratic:{field.spec}")
+    t = Poly.t(field)
+    seen = {True: 0, False: 0}
+    for _ in range(100):
+        f = random_poly(field, rng, 2, monic=True, exact_deg=True)
+        irreducible = _ben_or_irreducible(f)
+        seen[irreducible] += 1
+        assert polyring._walk_is_irreducible(f) == irreducible
+        assert list(polyring._distinct_degree(f)) == [(f, 2 if irreducible else 1)]
+        fac = polyring._walk_factor(f)
+        if irreducible:
+            assert fac == ((f, 1),)
+        else:
+            assert _rebuild(f, fac) == f and all(prime.degree == 1 for prime, _ in fac)
+    assert seen[True] > 10 and seen[False] > 10
+    for _ in range(20):
+        r, s = rng.sample(range(field.q), 2)
+        low, high = sorted((t - Poly(field, (r,)), t - Poly(field, (s,))), key=Poly.sort_key)
+        f = low * high
+        assert not _ben_or_irreducible(f) and not polyring._walk_is_irreducible(f)
+        assert sorted(polyring._equal_degree_split(f, 1, None), key=Poly.sort_key) == [low, high]
+        assert polyring._walk_factor(f) == ((low, 1), (high, 1))
+        assert polyring._walk_factor(low * low) == ((low, 2),)
+        assert not polyring._walk_is_irreducible(low * low)
+
+
 def test_xgcd_identity():
     rng = Random(101)
     for _ in range(50):
@@ -282,7 +350,8 @@ def test_is_irreducible_matches_sieve(q, e, max_deg):
 def test_frobenius_walk_cost(monkeypatch):
     # x^(q^d) mod f is raised once for each degree d the walk tests and
     # never beyond: floor(m/2) powmods for an irreducible of degree m, one
-    # for an input with a linear factor, none for a linear input; and a
+    # for an input with a linear factor, none for a linear input, and none
+    # for a quadratic over odd q, which its discriminant decides; and a
     # squarefree input takes one gcd in _squarefree_parts
     calls = {"powmod": 0, "gcd": 0}
 
@@ -309,13 +378,15 @@ def test_frobenius_walk_cost(monkeypatch):
         assert count("powmod", walk_factor, linear) == 0
         squarefree = linear
         for m in range(1, 7):
+            closed_form = field.q % 2 == 1 and m == 2
             prime = random_irreducible(field, rng, m)
-            assert count("powmod", walk_is_irreducible, prime) == m // 2
-            assert count("powmod", walk_is_irreducible, prime.scale(field.q - 1)) == m // 2
-            assert count("powmod", walk_factor, prime) == m // 2
+            walk = 0 if closed_form else m // 2
+            assert count("powmod", walk_is_irreducible, prime) == walk
+            assert count("powmod", walk_is_irreducible, prime.scale(field.q - 1)) == walk
+            assert count("powmod", walk_factor, prime) == walk
             if m > 1:
                 cofactor = random_poly(field, rng, m - 1, monic=True, exact_deg=True)
-                assert count("powmod", walk_is_irreducible, linear * cofactor) == 1
+                assert count("powmod", walk_is_irreducible, linear * cofactor) == 1 - closed_form
                 squarefree = squarefree * prime
         assert count("gcd", polyring._squarefree_parts, squarefree) == 1
 
@@ -418,15 +489,17 @@ def test_tabled_factor_calls_no_powmod_or_gcd(monkeypatch):
 
 def test_walk_seeds_only_to_split(monkeypatch):
     # the walk's fixed-seed Random is built only when a product of several
-    # primes of one degree must be split
+    # primes of one degree must be split by Cantor-Zassenhaus: over odd q
+    # two linears split in closed form
     seeds = []
     monkeypatch.setattr(polyring, "Random", lambda seed: seeds.append(seed) or Random(seed))
     field = field_make(257)
-    linear, other = parse_poly(field, "t+1"), parse_poly(field, "t+2")
+    linear, other, third = (parse_poly(field, f"t+{c}") for c in (1, 2, 3))
     quadratic = random_irreducible(field, Random("seeds"), 2)
     assert polyring._walk_factor(linear * quadratic ** 2) == ((linear, 1), (quadratic, 2))
-    assert seeds == []
     assert polyring._walk_factor(linear * other) == ((linear, 1), (other, 1))
+    assert seeds == []
+    assert polyring._walk_factor(linear * other * third) == ((linear, 1), (other, 1), (third, 1))
     assert seeds == [polyring._FACTOR_SEED]
 
 
