@@ -42,7 +42,6 @@ from .symbols import (
     local_symbol,
     reciprocity_sweep,
     residue_symbol,
-    residue_symbol_general,
     sign_n,
 )
 from .quaternion import (
@@ -71,7 +70,6 @@ from .definability import (
     WitnessPair,
     gamma_check,
     inf_square_class,
-    is_constant_semantic,
     member_A,
     member_A_union_Ainf_semantic,
     member_A_union_Ainf_theorem,

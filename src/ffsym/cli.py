@@ -24,11 +24,10 @@ from .definability import (
     member_A,
     member_A_union_Ainf_semantic,
     member_A_union_Ainf_theorem,
-    is_constant_semantic,
     witness_pair,
 )
 from .dirichlet import APQuery, check_search_work, find_prime_in_ap, pi_ap, uniformity_report
-from .gf import Field, FieldElem, parse_field_spec, smallest_nonsquare
+from .gf import Field, FieldElem, parse_field_spec
 from .places import Place, parse_place, parse_ratfunc, valuation
 from .polyring import parse_poly
 from .quaternion import (
@@ -54,16 +53,20 @@ def _field(args) -> Field:
     return parse_field_spec(args.q)
 
 
-def _epsilon(field: Field, args) -> FieldElem:
-    if getattr(args, "epsilon", None) is None:
-        return smallest_nonsquare(field)
+def _epsilon(field: Field, args) -> FieldElem | None:
+    # the constant --epsilon names, or None for the library's default; the
+    # library rejects a square
+    if args.epsilon is None:
+        return None
     f = parse_poly(field, args.epsilon)
     if not f.is_constant:
         raise UsageError("--epsilon must be a constant")
-    eps = FieldElem(field, f.constant_code())
-    if eps.code == 0 or field.is_square_code(eps.code):
-        raise UsageError("--epsilon must be a nonzero nonsquare")
-    return eps
+    return FieldElem(field, f.constant_code())
+
+
+def _valuations(x, ram) -> dict:
+    # v(x) at each ramified place; None for x = 0
+    return {str(pl): (None if x.is_zero else valuation(x, pl)) for pl in ram.sorted()}
 
 
 def _sym_json(sym: FieldElem) -> dict:
@@ -167,9 +170,7 @@ def cmd_member(args):
         raise UsageError("--set Ic requires --c")
     verdict = _MEMBER_SETS[args.set](x, a, b, c)
     ram = delta(a, b)
-    traces = {
-        str(pl): (None if x.is_zero else valuation(x, pl)) for pl in ram.sorted()
-    }
+    traces = _valuations(x, ram)
     inputs = {"set": args.set, "x": str(x), "a": str(a), "b": str(b)}
     if c is not None:
         inputs["c"] = str(c)
@@ -201,8 +202,8 @@ def cmd_witness(args):
     rng = Random(f"{args.seed}:witness")
     wp = witness_pair(place, eps, rng, degree_cap=args.degree_max)
     ram = wp.ramified
-    gamma_ok = gamma_check(wp.a, wp.b, eps)
-    inputs = {"prime": str(prime), "epsilon": repr(eps)}
+    gamma_ok = gamma_check(wp.a, wp.b)
+    inputs = {"prime": str(prime), "epsilon": repr(wp.epsilon)}
     result = {
         "a": str(wp.a),
         "b": str(wp.b),
@@ -221,7 +222,7 @@ def cmd_membership(args):
     x = parse_ratfunc(field, args.x)
     inputs = {"target": args.target, "x": str(x)}
     if args.target == "const":
-        verdict = is_constant_semantic(x)
+        verdict = x.is_constant
         return inputs, {"member": verdict}, {}, True, [f"constant: {verdict}"]
     eps = _epsilon(field, args)
     rng = Random(f"{args.seed}:membership")
@@ -244,10 +245,7 @@ def cmd_membership(args):
                 "source": ev.source,
                 "accepted": ev.accepted,
                 "delta": [str(p) for p in ram.sorted()],
-                "valuations": {
-                    str(pl): (None if x.is_zero else valuation(x, pl))
-                    for pl in ram.sorted()
-                },
+                "valuations": _valuations(x, ram),
             }
         )
     ok = result["agrees"]

@@ -72,7 +72,7 @@ def _class_at_inf(num: Poly, den: Poly) -> InfSquareClass:
 _ODD_AT_INF = (InfSquareClass.INV_T_TIMES_SQUARE, InfSquareClass.NONSQUARE_INV_T_TIMES_SQUARE)
 
 
-def gamma_check(a: RatFunc, b: RatFunc, epsilon: FieldElem | None = None) -> bool:
+def gamma_check(a: RatFunc, b: RatFunc) -> bool:
     """Decide membership of (a, b) in the pair family D.
 
     Branch one: a/epsilon is a square at infinity and the degree parities
@@ -81,13 +81,12 @@ def gamma_check(a: RatFunc, b: RatFunc, epsilon: FieldElem | None = None) -> boo
     constants, so only the parity of that coordinate matters.  For every
     nonsquare constant epsilon, a/epsilon is a square at infinity exactly
     when a lies in the class h*sq, so (a, b) is in D iff one coordinate is
-    in h*sq and the other has odd valuation at infinity.
+    in h*sq and the other has odd valuation at infinity: the verdict is
+    the same for every epsilon, which is therefore no argument.
     """
     if a.is_zero or b.is_zero:
         raise ValueError("pair family membership needs nonzero coordinates")
-    field = a.field
-    _require_odd(field)
-    _check_epsilon(field, epsilon)
+    _require_odd(a.field)
     return _in_d(inf_square_class(a), inf_square_class(b))
 
 
@@ -162,7 +161,7 @@ def witness_pair(
                 continue
             b = RatFunc.from_poly(q_prime.scale(epsilon.code))
             ram = delta(a, b)
-            if ram.places == frozenset({place, inf}) and gamma_check(a, b, epsilon):
+            if ram.places == frozenset({place, inf}) and gamma_check(a, b):
                 return WitnessPair(a, b, place, Place.finite(q_prime, trusted=True), epsilon)
     raise ValueError(f"no companion prime for {place} up to the degree cap {cap} (raise the cap)")
 
@@ -178,12 +177,6 @@ def member_A_union_Ainf_semantic(x: RatFunc) -> bool:
     if x.den.is_constant:
         return True
     return valuation(x, Place.infinite(x.field)) >= 0
-
-
-def is_constant_semantic(x: RatFunc) -> bool:
-    """True iff x reduces to a constant (the field is existentially
-    definable in K; this is the semantic stand-in for that test)."""
-    return x.num.is_constant and x.den.is_constant
 
 
 class PairEvidence(NamedTuple):
@@ -287,7 +280,7 @@ def member_A(
     """Membership of x in the polynomial ring: the union membership plus
     the clause "negative valuation at infinity, or constant"."""
     union_report = member_A_union_Ainf_theorem(x, epsilon, sample_size, rng)
-    degree_clause = is_constant_semantic(x) or (
+    degree_clause = x.is_constant or (
         not x.is_zero and valuation(x, Place.infinite(x.field)) < 0
     )
     member = union_report.member and degree_clause

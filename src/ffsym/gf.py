@@ -78,6 +78,10 @@ class Field:
         self.is_prime_field = e == 1
         self.one_code = 1
         self.neg_one_code = p - 1  # constant -1, in any representation
+        if e == 1:  # native mod-p arithmetic in place of the table methods below
+            self.add = lambda a, b: (a + b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -175,11 +179,9 @@ class Field:
             n >>= 1
         return result
 
-    # --- code-level arithmetic ---
+    # --- code-level arithmetic (a prime field's add, neg and mul: see __init__) ---
 
     def add(self, a: int, b: int) -> int:
-        if self.is_prime_field:
-            return (a + b) % self.p
         if not a or not b:
             return a or b
         la = self._log[a]
@@ -192,13 +194,9 @@ class Field:
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if self.is_prime_field:
-            return (-a) % self.p
         return self._exp[self._log[a] + self._log_neg_one] if a else 0
 
     def mul(self, a: int, b: int) -> int:
-        if self.is_prime_field:
-            return (a * b) % self.p
         return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:

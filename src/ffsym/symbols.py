@@ -34,24 +34,16 @@ from .polyring import (
 )
 
 
-def residue_symbol(alpha: Poly, prime: Poly, n: int = 2) -> FieldElem:
-    """The n-th power residue symbol (alpha/P)_n for a monic prime P.
+def residue_symbol(alpha: Poly, beta: Poly, n: int = 2) -> FieldElem:
+    """The n-th power residue symbol (alpha/beta)_n: the product of
+    (alpha/P)_n over the monic prime factorization of beta, read from one
+    resultant as power_character(alpha, monic(beta), n), with no factoring.
 
-    Zero when P | alpha, else the constant alpha^{(q^{deg P}-1)/n} mod P
-    interpreted as an element of F_q.  P must be prime; it is not tested
-    here (Place.finite tests it where text becomes a place).  ValueError
-    unless n >= 2 divides q - 1 and P is monic of positive degree.
-    """
-    return FieldElem(alpha.field, power_character(alpha, prime, n))
-
-
-def residue_symbol_general(alpha: Poly, beta: Poly, n: int = 2) -> FieldElem:
-    """(alpha/beta)_n over the monic prime factorization of beta, read from
-    one resultant as power_character(alpha, monic(beta), n): no factoring.
-
-    The leading coefficient of beta is ignored; constant beta gives the
-    empty product 1.  The value is zero exactly when gcd(alpha, beta) has
-    positive degree.
+    For a monic prime P it is zero when P | alpha, else the constant
+    alpha^{(q^{deg P}-1)/n} mod P; P is not tested for irreducibility here
+    (Place.finite tests it where text becomes a place).  The leading
+    coefficient of beta is ignored, and a constant beta gives the empty
+    product 1.  ValueError for a zero beta, or unless n >= 2 divides q - 1.
     """
     field = alpha.field
     _require_root_order(field, n)
@@ -95,7 +87,7 @@ def check_general_reciprocity(alpha: Poly, beta: Poly, n: int = 2) -> Reciprocit
         raise ValueError("reciprocity needs nonzero arguments")
     if gcd(alpha, beta).degree != 0:
         raise ValueError("reciprocity needs coprime arguments")
-    lhs = residue_symbol_general(alpha, beta, n) / residue_symbol_general(beta, alpha, n)
+    lhs = residue_symbol(alpha, beta, n) / residue_symbol(beta, alpha, n)
     da = len(alpha.coeffs) - 1
     db = len(beta.coeffs) - 1
     rhs_code = field.one_code

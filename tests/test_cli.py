@@ -170,20 +170,31 @@ def test_json_determinism(capsys):
     (["u-set", "--q", "2^17"], "MAX_Q"),
     (["u-set", "--q", "65537"], "MAX_Q"),
     (["symbol", "--alpha", "t^99999999", "--prime", "t+1"], "MAX_PARSED_DEGREE"),
+    # degree 33, one above MAX_PARSED_DEGREE, on the commands that factor it
+    (["delta", "--a", "t^33+t+2", "--b", "t"], "MAX_PARSED_DEGREE"),
+    (["hilbert", "--alpha", "t", "--beta", "t^33+t+2"], "MAX_PARSED_DEGREE"),
+    (["member", "--set", "T", "--x", "t", "--a", "t^33+t+2", "--b", "t"], "MAX_PARSED_DEGREE"),
+    (["symbol", "--alpha", "t", "--prime", "t^33+t+2"], "MAX_PARSED_DEGREE"),
     (["reciprocity-sweep", "--q", "257", "--degree-max", "1"], "MAX_SWEEP_PAIRS"),
     (["reciprocity-sweep", "--degree-max", "1000000000"], "MAX_SWEEP_PAIRS"),
     (["uniformity", "--f", "t", "--k", "100000"], "MAX_AP_WORK"),
     (["uniformity", "--q", "13", "--f", "t^7+2", "--k", "8"], "MAX_AP_WORK"),
-    (["uniformity", "--f", "t^10000", "--k", "1"], "MAX_AP_WORK"),
+    (["uniformity", "--f", "t^32", "--k", "1"], "MAX_AP_WORK"),  # the largest parsed degree
     (["ap-primes", "--f", "t", "--c", "1", "--k", "100000"], "MAX_AP_WORK"),
     (["ap-primes", "--f", "t", "--c", "1", "--k", "100"], "MAX_AP_WORK"),
     (["witness", "--q", "3", "--prime", "t^2+1", "--degree-max", "0"], "degree cap 0"),
     (["membership", "--target", "A", "--x", "1/t", "--samples", "10000000"], "MAX_SAMPLE_WORK"),
     # 25,000 pairs over F_3 (2 bits) is the largest accepted request
     (["membership", "--target", "AorAinf", "--x", "t", "--samples", "25001"], "MAX_SAMPLE_WORK"),
+    # the CLI parses --epsilon as a constant and the library rejects a square
+    (["witness", "--q", "5", "--prime", "t", "--epsilon", "t"], "--epsilon must be a constant"),
+    (["witness", "--q", "5", "--prime", "t", "--epsilon", "1"], "nonsquare"),
+    (["membership", "--q", "5", "--target", "A", "--x", "t", "--epsilon", "0"], "nonsquare"),
 ], ids=["criteria", "degree-max", "k", "samples", "q-3^40", "q-2^17", "q-65537", "alpha-degree",
-        "sweep-q257", "sweep-degree", "uniformity-k", "uniformity-q13-deg7", "uniformity-deg",
-        "ap-primes-k", "ap-primes-search", "witness-cap", "samples-limit", "samples-limit-edge"])
+        "delta-degree", "hilbert-degree", "member-degree", "prime-degree", "sweep-q257",
+        "sweep-degree", "uniformity-k", "uniformity-q13-deg7", "uniformity-deg",
+        "ap-primes-k", "ap-primes-search", "witness-cap", "samples-limit", "samples-limit-edge",
+        "epsilon-variable", "epsilon-square", "epsilon-zero"])
 def test_out_of_range_input_exits_2(capsys, argv, named):
     start = time.perf_counter()
     code, out, err = run(capsys, argv)

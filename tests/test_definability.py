@@ -6,7 +6,6 @@ from ffsym.definability import (
     InfSquareClass,
     gamma_check,
     inf_square_class,
-    is_constant_semantic,
     member_A,
     member_A_union_Ainf_semantic,
     member_A_union_Ainf_theorem,
@@ -65,14 +64,11 @@ def test_inf_square_class_partitions():
 
 
 def test_gamma_examples():
-    eps = F3.elem(2)
-    assert gamma_check(parse_ratfunc(F3, "2*t"), parse_ratfunc(F3, "2*t^2+2"), eps)
-    assert not gamma_check(RatFunc.one(F3), RatFunc.one(F3), eps)
-    assert not gamma_check(parse_ratfunc(F3, "2*t"), parse_ratfunc(F3, "2*t"), eps)
+    assert gamma_check(parse_ratfunc(F3, "2*t"), parse_ratfunc(F3, "2*t^2+2"))
+    assert not gamma_check(RatFunc.one(F3), RatFunc.one(F3))
+    assert not gamma_check(parse_ratfunc(F3, "2*t"), parse_ratfunc(F3, "2*t"))
     with pytest.raises(ValueError):
-        gamma_check(RatFunc.zero(F3), RatFunc.one(F3), eps)
-    with pytest.raises(ValueError):
-        gamma_check(RatFunc.one(F3), RatFunc.one(F3), F3.one)  # epsilon must be a nonsquare
+        gamma_check(RatFunc.zero(F3), RatFunc.one(F3))
 
 
 def _gamma_check_oracle(a, b, eps):
@@ -95,10 +91,11 @@ def test_gamma_check_matches_quotient_definition(p, e):
     verdicts = set()
     for _ in range(150):
         a, b = random_ratfunc(field, rng, 3), random_ratfunc(field, rng, 3)
+        verdict = gamma_check(a, b)
+        # the definition reads epsilon; the verdict is the same for every one
         for eps in nonsquares:
-            verdict = gamma_check(a, b, eps)
             assert verdict == _gamma_check_oracle(a, b, eps)
-            verdicts.add(verdict)
+        verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
@@ -127,7 +124,7 @@ def test_witness_pairs_exhaustive_small_primes():
                 place = Place.finite(prime, trusted=True)
                 wp = witness_pair(place, eps, Random(f"wp:{field.q}:{prime}"))
                 assert wp.ramified.places == frozenset({place, inf})
-                assert gamma_check(wp.a, wp.b, eps)
+                assert gamma_check(wp.a, wp.b)
                 q_deg = wp.companion.residue_degree
                 assert (q_deg - deg) % 2 == 1
                 assert local_symbol(wp.a, wp.b, place).sign == -1
@@ -142,10 +139,11 @@ def test_semantic_membership_examples():
 
 
 def test_is_constant_semantic():
-    assert is_constant_semantic(RatFunc.constant(F3, 2))
-    assert not is_constant_semantic(RatFunc.t(F3))
-    assert is_constant_semantic(parse_ratfunc(F3, "2*t+2/t+1"))
-    assert is_constant_semantic(RatFunc.zero(F3))
+    # the constants' membership test is RatFunc.is_constant on the reduced form
+    assert RatFunc.constant(F3, 2).is_constant
+    assert not RatFunc.t(F3).is_constant
+    assert parse_ratfunc(F3, "2*t+2/t+1").is_constant
+    assert RatFunc.zero(F3).is_constant
 
 
 def test_sample_d_pairs_accepted_by_gamma():
@@ -155,7 +153,7 @@ def test_sample_d_pairs_accepted_by_gamma():
         assert len(pairs) == 12
         for a, b, source in pairs:
             assert source in ("witness", "random")
-            assert gamma_check(a, b, eps)
+            assert gamma_check(a, b)
 
 
 def _sample_d_pairs_reference(field, epsilon, count, rng, max_prime_deg=2, max_deg=2):
@@ -170,7 +168,7 @@ def _sample_d_pairs_reference(field, epsilon, count, rng, max_prime_deg=2, max_d
             for _ in range(200):
                 a = random_ratfunc(field, rng, max_deg)
                 b = random_ratfunc(field, rng, max_deg)
-                if gamma_check(a, b, epsilon):
+                if gamma_check(a, b):
                     pairs.append((a, b, "random"))
                     break
     return pairs
@@ -190,7 +188,7 @@ def test_sample_d_pairs_keeps_the_stream(p, e):
             assert pairs == _sample_d_pairs_reference(field, eps, 8, ref_rng, max_deg=max_deg)
             assert rng.getstate() == ref_rng.getstate()
             for a, b, source in pairs:
-                assert gamma_check(a, b, eps)
+                assert gamma_check(a, b)
                 if source == "random":
                     randoms += 1
                     for x in (a, b):

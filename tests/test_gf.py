@@ -101,7 +101,7 @@ def test_extension_modulus_pinned(p, e):
     assert p ** e > MAX_Q or field_make(p, e).modulus == PINNED_MODULI[(p, e)]
 
 
-@pytest.mark.parametrize("p,e", [(2, 1), (257, 1), (3, 2), (2, 3), (3, 5), (5, 4),
+@pytest.mark.parametrize("p,e", [(2, 1), (257, 1), (65521, 1), (3, 2), (2, 3), (3, 5), (5, 4),
                                  (3, 6), (2, 8), (2, 9), (17, 2)])
 def test_field_arithmetic_matches_reference(p, e):
     field = field_make(p, e)

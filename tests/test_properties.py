@@ -2,6 +2,7 @@
 large prime field, extension fields of odd and even characteristic, and
 fields far from the small ones the example tests use."""
 
+from itertools import zip_longest
 from random import Random
 
 import pytest
@@ -63,6 +64,11 @@ def _trim(codes):
     return codes
 
 
+def _school_add(a, b, field):
+    # Field.add on the code lists padded with zeros to one length
+    return _trim(field.add(x, y) for x, y in zip_longest(a, b, fillvalue=0))
+
+
 def _school_mul(a, b, field):
     # an oracle independent of polyring: Field.add and Field.mul only
     out = [0] * max(len(a) + len(b) - 1, 0)
@@ -83,17 +89,21 @@ def _long_div(a, b, field):
     return _trim(quo), _trim(rem[:len(b) - 1])
 
 
-@pytest.mark.parametrize("p,e", FIELDS + [(3, 1), (5, 1)])
+@pytest.mark.parametrize("p,e", FIELDS + [(3, 1), (5, 1), (2, 1), (65521, 1), (2, 2), (3, 5)])
 def test_arithmetic_matches_schoolbook_oracle(p, e):
-    # constant, degree-1 and higher divisors, monic and scaled by the code 2;
-    # zero, shorter and longer dividends
+    # constant, degree-1 and higher divisors, monic and scaled by the code 2
+    # (1 in F_2); zero, shorter and longer dividends
     field, rng = _setup(p, e, "oracle")
     for deg in range(5):
         for _ in range(4):
             monic = random_poly(field, rng, deg, monic=True, exact_deg=True)
             shorter = random_poly(field, rng, deg - 1) if deg else Poly.zero(field)
-            for b in (monic, monic.scale(2)):
+            for b in (monic, monic.scale(min(2, field.q - 1))):
                 for a in (Poly.zero(field), shorter, random_poly(field, rng, 10)):
+                    assert list((a + b).coeffs) == _school_add(a.coeffs, b.coeffs, field)
+                    assert list((-a).coeffs) == [field.sub(0, x) for x in a.coeffs]
+                    c = rng.randrange(field.q)
+                    assert list(a.scale(c).coeffs) == _trim(field.mul(x, c) for x in a.coeffs)
                     assert list((a * b).coeffs) == _school_mul(a.coeffs, b.coeffs, field)
                     assert list((b * a).coeffs) == _school_mul(b.coeffs, a.coeffs, field)
                     quo, rem = divmod(a, b)

@@ -40,7 +40,6 @@ from ffsym.symbols import (
     local_symbol,
     reciprocity_sweep,
     residue_symbol,
-    residue_symbol_general,
     sign_n,
 )
 
@@ -75,8 +74,6 @@ def test_residue_symbol_examples():
     assert residue_symbol(Poly.constant(F3, 2), parse_poly(F3, "t^2+1")) == 1
     with pytest.raises(ValueError):
         residue_symbol(t, parse_poly(F3, "t+1"), n=4)  # 4 does not divide q-1
-    with pytest.raises(ValueError):
-        residue_symbol(t, parse_poly(F3, "2*t"), n=2)  # not monic irreducible
 
 
 def test_residue_symbol_periodicity_and_multiplicativity():
@@ -92,17 +89,17 @@ def test_residue_symbol_periodicity_and_multiplicativity():
 def test_residue_symbol_general_examples():
     t = Poly.t(F3)
     t1 = parse_poly(F3, "t+1")
-    assert residue_symbol_general(t, t1 * t1) == 1
-    assert residue_symbol_general(t, t1.scale(2)) == -1  # sign of beta ignored
-    assert residue_symbol_general(t1, t1 * t).is_zero  # shared factor
-    assert residue_symbol_general(t, Poly.constant(F3, 2)) == 1  # empty product
+    assert residue_symbol(t, t1 * t1) == 1
+    assert residue_symbol(t, t1.scale(2)) == -1  # sign of beta ignored
+    assert residue_symbol(t1, t1 * t).is_zero  # shared factor
+    assert residue_symbol(t, Poly.constant(F3, 2)) == 1  # empty product
     with pytest.raises(ValueError):
-        residue_symbol_general(t, Poly.zero(F3))
+        residue_symbol(t, Poly.zero(F3))
 
 
 def test_residue_symbol_general_trusts_factor(monkeypatch):
-    # neither symbol re-tests a prime for irreducibility; the general
-    # values agree with residue_symbol over the factorization
+    # the symbol re-tests no prime for irreducibility; its values on
+    # composite lower arguments agree with the product over the factorization
     rng = Random("general-trusts-factor")
     pairs = [(random_poly(F5, rng, 3), random_poly(F5, rng, 3, nonzero=True)) for _ in range(60)]
     factored = [(alpha, beta, factor(beta)) for alpha, beta in pairs]
@@ -116,7 +113,7 @@ def test_residue_symbol_general_trusts_factor(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     for alpha, beta, fac in factored:
-        assert residue_symbol_general(alpha, beta) == _factored_symbol(alpha, fac)
+        assert residue_symbol(alpha, beta) == _factored_symbol(alpha, fac)
 
 
 def _factored_symbol(alpha, factors, n=2):
@@ -141,7 +138,7 @@ def test_residue_symbol_general_matches_factored_product(p, e, n):
         beta = random_poly(field, rng, 6, nonzero=True)
         g = random_poly(field, rng, 2, nonzero=True)
         for a, b in ((alpha, beta), (alpha, beta * g * g), (alpha * g, beta * g)):
-            assert residue_symbol_general(a, b, n) == _factored_symbol(a, factor(b), n)
+            assert residue_symbol(a, b, n) == _factored_symbol(a, factor(b), n)
 
 
 def test_sign_n_examples():
