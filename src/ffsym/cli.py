@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Every subcommand takes --q "p^e" plus the shared flags --seed, --json/--csv,
---degree-max, --samples and --epsilon.  JSON output is one document
-per invocation with the fixed envelope {command, field, inputs, result,
-evidence}, serialized with sorted keys so identical (argv, seed) runs are
-byte-identical.  Exit codes: 0 success/verified, 1 a verified identity
-failed, 2 usage error, 3 internal error.
+Every subcommand takes --q "p^e" and --json, and where relevant --seed (the
+commands that draw), --csv (table commands), --degree-max, --samples and
+--epsilon.  JSON output is one document per invocation with the fixed
+envelope {command, field, inputs, result, evidence}, serialized with sorted
+keys so identical (argv, seed) runs are byte-identical.  Exit codes: 0
+success/verified, 1 a verified identity failed, 2 usage error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -330,11 +330,13 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub, *, samples=None, degree_max=None, epsilon=False):
+def _add_common(sub, *, seed=False, csv=False, samples=None, degree_max=None, epsilon=False):
     sub.add_argument("--q", default="3", help='field spec "p" or "p^e" (default 3)')
-    sub.add_argument("--seed", type=int, default=42, help="seed for all randomized behavior")
+    if seed:
+        sub.add_argument("--seed", type=int, default=42, help="seed for all randomized behavior")
     sub.add_argument("--json", action="store_true", help="emit a JSON document")
-    sub.add_argument("--csv", action="store_true", help="emit CSV (table commands)")
+    if csv:
+        sub.add_argument("--csv", action="store_true", help="emit the table as CSV")
     if samples is not None:
         sub.add_argument("--samples", type=int, default=samples, help="sample size")
     if degree_max is not None:
@@ -350,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ffsym",
         description="Symbols, reciprocity, ramification and definability over F_q(t).",
     )
+    parser.set_defaults(csv=False)  # --csv exists on the table commands only
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("symbol", help="n-th power residue symbol (alpha/P)_n")
@@ -391,30 +394,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("witness", help="pair ramified exactly at {P, inf}")
     s.add_argument("--prime", required=True)
-    _add_common(s, degree_max=None, epsilon=True)
+    _add_common(s, seed=True, degree_max=None, epsilon=True)
     s.add_argument("--degree-max", dest="degree_max", type=int, default=None,
                    help="companion degree cap (default deg P + 6)")
 
     s = subs.add_parser("membership", help="membership in A, A-or-Ainf, or the constants")
     s.add_argument("--target", required=True, choices=["A", "AorAinf", "const"])
     s.add_argument("--x", required=True)
-    _add_common(s, samples=20, epsilon=True)
+    _add_common(s, seed=True, samples=20, epsilon=True)
 
     s = subs.add_parser("ap-primes", help="count/find primes in an arithmetic progression")
     s.add_argument("--f", required=True, help="modulus polynomial")
     s.add_argument("--c", required=True, help="residue polynomial")
     s.add_argument("--k", type=int, required=True, help="target degree")
-    _add_common(s)
+    _add_common(s, seed=True)
 
     s = subs.add_parser("uniformity", help="per-class prime counts vs the expected value")
     s.add_argument("--f", required=True, help="modulus polynomial")
     s.add_argument("--k", type=int, required=True, help="target degree")
-    _add_common(s)
+    _add_common(s, csv=True)
 
     s = subs.add_parser("selftest", help="run the acceptance suite")
     s.add_argument("--criteria", default=None,
                    help='comma-separated criterion ids, e.g. "3,5" (default: all)')
-    _add_common(s)
+    _add_common(s, seed=True, csv=True)
     return parser
 
 
@@ -424,13 +427,10 @@ def _emit_csv(command: str, result: dict, out) -> None:
         writer.writerow(["c", "count", "deviation"])
         for row in result["rows"]:
             writer.writerow([row["c"], row["count"], row["deviation"]])
-    elif command == "selftest":
+    else:  # selftest
         writer.writerow(["cid", "name", "passed", "detail"])
         for row in result["criteria"]:
             writer.writerow([row["cid"], row["name"], row["passed"], row["detail"]])
-    else:
-        writer.writerow(sorted(result))
-        writer.writerow([json.dumps(result[k], sort_keys=True) for k in sorted(result)])
 
 
 # lower bounds of the integer flags, checked before any handler runs

@@ -201,25 +201,23 @@ def sample_d_pairs(
     epsilon: FieldElem,
     count: int,
     rng: Random,
-    max_prime_deg: int = 2,
-    max_deg: int = 2,
 ) -> list[tuple[RatFunc, RatFunc, str]]:
-    """Pairs from the family D: constructed witness pairs mixed with
-    rejection-sampled random pairs accepted by the membership formula.
+    """Pairs from the family D: witness pairs on primes of degree <= 2 mixed
+    with rejection-sampled random pairs accepted by the membership formula.
 
-    A random pair is drawn as random_ratfunc would draw it (a.num, a.den,
-    b.num, b.den), and D is decided on the draws' classes at infinity before
-    anything is reduced: only an accepted pair is built as two RatFuncs."""
+    A random pair is drawn as random_ratfunc(field, rng, 2) would draw it
+    (a.num, a.den, b.num, b.den), and D is decided on the draws' classes at
+    infinity before anything is reduced: only an accepted pair becomes RatFuncs."""
     _check_epsilon(field, epsilon)  # raises for even q as well
     pairs: list[tuple[RatFunc, RatFunc, str]] = []
     while len(pairs) < count:
         if rng.random() < 0.5:
-            prime = random_irreducible(field, rng, 1 + _random_codes(rng, max_prime_deg, 1)[0])
+            prime = random_irreducible(field, rng, 1 + _random_codes(rng, 2, 1)[0])
             wp = witness_pair(Place.finite(prime, trusted=True), epsilon, rng)
             pairs.append((wp.a, wp.b, "witness"))
         else:
             for _ in range(200):
-                a_num, a_den, b_num, b_den = (random_poly(field, rng, max_deg, nonzero=True)
+                a_num, a_den, b_num, b_den = (random_poly(field, rng, 2, nonzero=True)
                                               for _ in range(4))
                 if _in_d(_class_at_inf(a_num, a_den), _class_at_inf(b_num, b_den)):
                     pairs.append((RatFunc(a_num, a_den), RatFunc(b_num, b_den), "random"))

@@ -47,6 +47,8 @@ class APQuery(_APFields):
     def __new__(cls, f: Poly, c: Poly, k: int) -> APQuery:
         if k < 0:
             raise ValueError("target degree must be >= 0")
+        if f.is_zero:
+            raise ValueError("modulus must be nonzero")
         if gcd(c, f).degree != 0:
             raise ValueError("residue and modulus must be coprime")
         return super().__new__(cls, f, c, k)
@@ -67,8 +69,7 @@ def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Pol
     k - deg f first (when deg f >= 1), then over every such g (g = 0 alone
     when k < deg f); None only after that sweep finds nothing.
     """
-    if gcd(c, f).degree != 0:
-        raise ValueError("residue and modulus must be coprime")
+    APQuery(f, c, k)  # rejects k < 0, a zero f and a c not coprime to f
     field = f.field
     f = f.monic()
     c_red = c % f

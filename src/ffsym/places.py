@@ -335,12 +335,12 @@ def unit_character(x: RatFunc, place: Place) -> int:
     return code
 
 
-def support(x: RatFunc, *, include_infinite: bool = True) -> frozenset[Place]:
+def support(x: RatFunc) -> frozenset[Place]:
     """All places with nonzero valuation."""
     if x.is_zero:
         raise ValueError("support of zero is undefined")
     places = {Place.finite(pr, trusted=True) for pr, _ in divisor(x)}
-    if include_infinite and len(x.num.coeffs) != len(x.den.coeffs):
+    if len(x.num.coeffs) != len(x.den.coeffs):
         places.add(Place.infinite(x.field))
     return frozenset(places)
 

@@ -515,7 +515,7 @@ def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
         yield f, len(f.coeffs) - 1
 
 
-def _equal_degree_split(f: Poly, d: int, rng: Random | None) -> list[Poly]:
+def _equal_degree_split(f: Poly, d: int, rng: Random | None = None) -> list[Poly]:
     # f a product of >= 1 distinct monic irreducibles of degree d; a None rng
     # is seeded with _FACTOR_SEED once Cantor-Zassenhaus must draw
     field = f.field
@@ -548,30 +548,30 @@ def _equal_degree_split(f: Poly, d: int, rng: Random | None) -> list[Poly]:
             return _equal_degree_split(w, d, rng) + _equal_degree_split(f // w, d, rng)
 
 
-def factor(f: Poly, rng: Random | None = None) -> tuple[tuple[Poly, int], ...]:
+def factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     """The monic prime factorization of f: (P, multiplicity) pairs in
     Poly.sort_key order, so that f is f.lead_code times the product of the
     P^m.  The same form as places.divisor.
 
     Read off the field's sieve table when q^deg f <= SIEVE_CAP.  Above
-    it, equal-degree splitting is randomized; the sorted factor multiset is
-    canonical, so the output is independent of the seed.  A None rng uses a
-    fixed internal seed (no global RNG state is touched).
+    it, equal-degree splitting draws from a Random with the fixed seed
+    _FACTOR_SEED (no global RNG state is touched); the sorted factor
+    multiset is canonical, so the output would be the same for any seed.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     sieve = _covering_sieve(f)
     if sieve is None:
-        return _walk_factor(f, rng)
+        return _walk_factor(f)
     return tuple((sieve.monic(h), mult) for h, mult in sieve.factor_indices(sieve.index(f.monic())))
 
 
-def _walk_factor(f: Poly, rng: Random | None = None) -> tuple[tuple[Poly, int], ...]:
+def _walk_factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
     # squarefree parts, the Frobenius walk, then equal-degree splitting
     factors = []
     for squarefree, mult in _squarefree_parts(f.monic()):
         for prod, d in _distinct_degree(squarefree):
-            factors.extend((prime, mult) for prime in _equal_degree_split(prod, d, rng))
+            factors.extend((prime, mult) for prime in _equal_degree_split(prod, d))
     return tuple(sorted(factors, key=lambda pm: pm[0].sort_key()))
 
 
@@ -612,12 +612,11 @@ class MonicSieve:
 
     __slots__ = ("field", "max_deg", "least", "cofactor")
 
-    def __init__(self, field: Field, max_deg: int = 0):
+    def __init__(self, field: Field):
         self.field = field
         self.max_deg = 0
         self.least = array("i", [0])
         self.cofactor = array("i", [0])
-        self.grow(max_deg)
 
     def start(self, k: int) -> int:
         """The index of the first monic of degree k."""
@@ -641,34 +640,29 @@ class MonicSieve:
         return Poly(self.field, coeffs, trusted=True)
 
     def grow(self, max_deg: int) -> None:
-        """Extend the table to degree max_deg; no-op when it reaches that.
+        """Rebuild the table to degree max_deg; no-op when it reaches that.
 
         Primes in index order mark P g for deg g >= deg P only: the cofactor
         of a composite by its least-degree prime factor has no prime factor
-        of lower degree.  The primes below the old top mark their multiples
-        of the new degrees first, so the first to mark each entry is the one
-        a single build to max_deg would find.
+        of lower degree.  Each degree block is at most 1/q of the next, so
+        growing a degree at a time costs at most q/(q-1) times one build.
         """
-        old = self.max_deg
-        if max_deg <= old:
+        if max_deg <= self.max_deg:
             return
         field, q = self.field, self.field.q
         start = [self.start(k) for k in range(max_deg + 2)]
-        least, cofactor = self.least, self.cofactor
-        extra = array("i", [0]) * (start[max_deg + 1] - start[old + 1])
-        least.extend(extra)
-        cofactor.extend(extra)
+        least = array("i", [0]) * start[max_deg + 1]
+        cofactor = array("i", [0]) * start[max_deg + 1]
         prime_field, p = field.is_prime_field, field.p
         half = start[max_deg // 2 + 1]  # a prime of higher degree marks nothing
         for h in range(1, start[max_deg + 1]):
-            if not least[h]:  # a prime: only new entries can be unmarked
+            if not least[h]:  # a prime
                 least[h] = h
             if least[h] != h or h >= half:
                 continue
             prime = self.monic(h).coeffs
             k = len(prime) - 1
-            # cofactor degrees: at least k, and new product degrees only
-            for j in range(max(k, old + 1 - k), max_deg - k + 1):
+            for j in range(k, max_deg - k + 1):
                 base, g = start[k + j], start[j]
                 for tail in itertools.product(range(q), repeat=j):
                     m = 0
@@ -678,7 +672,7 @@ class MonicSieve:
                         least[base + m] = h
                         cofactor[base + m] = g
                     g += 1
-        self.max_deg = max_deg
+        self.least, self.cofactor, self.max_deg = least, cofactor, max_deg
 
     def factor_indices(self, h: int) -> tuple[tuple[int, int], ...]:
         """The monic prime factors of monic h as (index, multiplicity),

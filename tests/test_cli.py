@@ -1,3 +1,6 @@
+import argparse
+import csv
+import io
 import json
 import os
 import shlex
@@ -137,12 +140,37 @@ def test_uniformity_cli_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "c,count,deviation"
     assert len(lines) == 3
+    # the README example, byte for byte
+    code, out, _ = run(capsys, ["uniformity", "--q", "13", "--f", "t", "--k", "3", "--csv"])
+    golden = Path(__file__).parent / "golden" / "uniformity_13_t3.csv"
+    assert code == 0 and out.encode() == golden.read_bytes()
 
 
 def test_selftest_subset(capsys):
     code, out, _ = run(capsys, ["selftest", "--criteria", "3,5", "--seed", "42"])
     assert code == 0
     assert "PASS criterion  3" in out and "PASS criterion  5" in out
+    code, out, _ = run(capsys, ["selftest", "--criteria", "3,5", "--seed", "42", "--csv"])
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and rows[0] == ["cid", "name", "passed", "detail"]
+    assert [(row[0], row[2]) for row in rows[1:]] == [("3", "True"), ("5", "True")]
+
+
+def test_seed_and_csv_only_where_read(capsys):
+    # --seed on the commands that draw random numbers, --csv on the table
+    # commands; anywhere else either flag is a usage error
+    subs = next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in sub._actions for flag in action.option_strings}
+             for name, sub in subs.choices.items()}
+    assert {name for name in flags if "--seed" in flags[name]} == {
+        "witness", "membership", "ap-primes", "selftest"}
+    assert {name for name in flags if "--csv" in flags[name]} == {"uniformity", "selftest"}
+    for extra in (["--seed", "1"], ["--csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["delta", "--a", "t", "--b", "t+1"] + extra)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_cli():
@@ -182,6 +210,7 @@ def test_json_determinism(capsys):
     (["uniformity", "--f", "t^32", "--k", "1"], "MAX_AP_WORK"),  # the largest parsed degree
     (["ap-primes", "--f", "t", "--c", "1", "--k", "100000"], "MAX_AP_WORK"),
     (["ap-primes", "--f", "t", "--c", "1", "--k", "100"], "MAX_AP_WORK"),
+    (["ap-primes", "--q", "3", "--f", "0", "--c", "1", "--k", "2"], "modulus must be nonzero"),
     (["witness", "--q", "3", "--prime", "t^2+1", "--degree-max", "0"], "degree cap 0"),
     (["membership", "--target", "A", "--x", "1/t", "--samples", "10000000"], "MAX_SAMPLE_WORK"),
     # 25,000 pairs over F_3 (2 bits) is the largest accepted request
@@ -193,8 +222,8 @@ def test_json_determinism(capsys):
 ], ids=["criteria", "degree-max", "k", "samples", "q-3^40", "q-2^17", "q-65537", "alpha-degree",
         "delta-degree", "hilbert-degree", "member-degree", "prime-degree", "sweep-q257",
         "sweep-degree", "uniformity-k", "uniformity-q13-deg7", "uniformity-deg",
-        "ap-primes-k", "ap-primes-search", "witness-cap", "samples-limit", "samples-limit-edge",
-        "epsilon-variable", "epsilon-square", "epsilon-zero"])
+        "ap-primes-k", "ap-primes-search", "ap-primes-zero", "witness-cap", "samples-limit",
+        "samples-limit-edge", "epsilon-variable", "epsilon-square", "epsilon-zero"])
 def test_out_of_range_input_exits_2(capsys, argv, named):
     start = time.perf_counter()
     code, out, err = run(capsys, argv)

@@ -96,6 +96,9 @@ def test_pi_ap_examples():
         APQuery(t, Poly.zero(F3), 2)
     with pytest.raises(ValueError):
         APQuery(t, Poly.one(F3), k=-1)
+    for c in (Poly.one(F3), t):  # gcd(1, 0) = 1 passes the coprimality check
+        with pytest.raises(ValueError, match="modulus must be nonzero"):
+            APQuery(Poly.zero(F3), c, 2)
 
 
 def test_ap_class_sum_identity():
@@ -162,6 +165,11 @@ def test_find_prime_examples():
     assert find_prime_in_ap(parse_poly(F3, "t^2"), Poly.one(F3), 1) is None
     with pytest.raises(ValueError):
         find_prime_in_ap(Poly.t(F3), Poly.zero(F3), 2)
+    for c in (Poly.one(F3), Poly.t(F3)):
+        with pytest.raises(ValueError, match="modulus must be nonzero"):
+            find_prime_in_ap(Poly.zero(F3), c, 2, Random(1))
+    with pytest.raises(ValueError, match="target degree"):
+        find_prime_in_ap(Poly.t(F3), Poly.one(F3), -1)
 
 
 def test_find_prime_output_contract():
