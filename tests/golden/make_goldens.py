@@ -103,6 +103,13 @@ CASES = {
                                "--beta", "5*t^2+t+1/t^4+1"],
     "ext_delta_3e5_quadratics": ["delta", "--q", "3^5", "--a", "t^2+[1,1]*t+[2]/t^2+[0,1]",
                                  "--b", "[0,1]*t^2+1/t^3+t+1"],
+    # Cantor-Zassenhaus through the p-power map over F_{3^5}: two quadratics
+    # over three linears, against a cubic times two linears
+    "ext_delta_3e5_split": ["delta", "--q", "3^5",
+                            "--a", "t^4+[2,0,0,0,2]*t^3+[0,0,0,1,0]*t^2+[1,1,1,2,0]*t+[2,1,0,0,2]"
+                                   "/t^3+[2,2,0,0,0]*t^2+[1,0,1,0,0]*t+[0,1,1,0,0]",
+                            "--b", "t^5+[0,1,2,1,0]*t^4+[0,2,0,2,0]*t^3+[2,1,2,1,0]*t^2"
+                                   "+[1,2,0,0,2]*t+[0,2,1,1,0]"],
 }
 
 

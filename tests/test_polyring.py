@@ -6,6 +6,7 @@ from ffsym import polyring
 from ffsym.dirichlet import pi_q
 from ffsym.gf import Field, field_make, prime_divisors
 from ffsym.polyring import (
+    MAX_PARSED_DEGREE,
     NEG_INF,
     SIEVE_CAP,
     MonicSieve,
@@ -207,12 +208,58 @@ def test_factor_roundtrip_seeded():
                 assert prime.is_monic and is_irreducible(prime)
 
 
+def _ben_or(f):
+    # the test's own irreducibility test for a monic f: gcd(t^(q^d) - t, f)
+    # = 1 for every d <= deg f / 2, through plain powmod
+    t = h = Poly.t(f.field)
+    for _ in range(f.degree // 2):
+        h = powmod(h, f.field.q, f)
+        if _euclid(h - t, f).degree != 0:
+            return False
+    return True
+
+
+def _ben_or_prime(field, rng, deg, avoid):
+    # a random monic irreducible of degree deg outside avoid
+    while True:
+        f = random_poly(field, rng, deg, monic=True, exact_deg=True)
+        if f not in avoid and _ben_or(f):
+            return f
+
+
+WALK_FIELDS = [(3, 5), (5, 4), (17, 2), (2, 8), (257, 1), (65521, 1)]
+
+
+@pytest.mark.parametrize("p, e", WALK_FIELDS, ids=[f"F{p ** e}" for p, e in WALK_FIELDS])
+def test_factor_walk_fields_match_ben_or(p, e):
+    # above the sieve cap on every degree: products of primes found by the
+    # test's own Ben-Or, which Cantor-Zassenhaus must split (two quadratics,
+    # two cubics, three linears) or _squarefree_parts must strip (a square)
+    field = field_make(p, e)
+    assert field.q ** 2 > SIEVE_CAP
+    rng = Random(f"walk-fields:{field.spec}")
+    for shape in ((2, 2), (3, 3), (1, 1, 1), (2, 1)):
+        primes = []
+        for deg in shape:
+            primes.append(_ben_or_prime(field, rng, deg, primes))
+        mults = [2, 1] if shape == (2, 1) else [1] * len(shape)
+        f = Poly(field, (rng.randrange(1, field.q),))
+        for prime, mult in zip(primes, mults):
+            f = f * prime ** mult
+        expected = tuple(sorted(zip(primes, mults), key=lambda pm: pm[0].sort_key()))
+        assert factor(f) == expected
+        assert is_irreducible(f) is False
+        assert all(is_irreducible(prime) for prime in primes)
+
+
 def test_factor_seed_independent():
     # Cantor-Zassenhaus draws at random, and the sorted split does not
     # depend on the draws: odd q, and even q through the trace map
     for field, texts, d in ((F5, ("t", "t+1", "t+2"), 1), (F5, ("t^2+2", "t^2+t+1"), 2),
                             (field_make(2, 2), ("t", "t+1"), 1),
-                            (field_make(2, 2), ("t^3+t+1", "t^3+t^2+1"), 3)):
+                            (field_make(2, 2), ("t^3+t+1", "t^3+t^2+1"), 3),
+                            (field_make(3, 5), ("t^2+[1,0,0,0,0]", "t^2+t+[2,1,0,0,0]"), 2),
+                            (field_make(2, 3), ("t^2+t+[0,1,0]", "t^2+t+[0,0,1]"), 2)):
         primes = sorted((parse_poly(field, text) for text in texts), key=Poly.sort_key)
         prod = Poly.one(field)
         for prime in primes:
@@ -358,48 +405,100 @@ def test_is_irreducible_matches_sieve(q, e, max_deg):
                 assert not walk(prime * other)
 
 
-def test_frobenius_walk_cost(monkeypatch):
-    # x^(q^d) mod f is raised once for each degree d the walk tests and
-    # never beyond: floor(m/2) powmods for an irreducible of degree m, one
-    # for an input with a linear factor, none for a linear input, and none
-    # for a quadratic over odd q, which its discriminant decides; and a
-    # squarefree input takes one gcd in _squarefree_parts
-    calls = {"powmod": 0, "gcd": 0}
-
-    def counted(name):
-        real = getattr(polyring, name)
-
-        def wrapper(*args):
+def _count_calls(monkeypatch, *names):
+    # wrap each named polyring function to count its calls in the returned dict
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, name=name, real=getattr(polyring, name)):
             calls[name] += 1
             return real(*args)
-        return wrapper
+        monkeypatch.setattr(polyring, name, wrapper)
+    return calls
 
-    for name in calls:
-        monkeypatch.setattr(polyring, name, counted(name))
 
-    def count(name, fn, *args):
-        calls[name] = 0
+def test_frobenius_walk_cost(monkeypatch):
+    # x^(q^d) mod f is raised once for each degree d the walk tests and
+    # never beyond: floor(m/2) steps for an irreducible of degree m, one for
+    # an input with a linear factor, none for a linear input, and none for a
+    # quadratic over odd q, which its discriminant decides.  A step is e
+    # p-power maps for small p and one powmod over F_257, where
+    # square-and-multiply is cheaper; and a squarefree input takes one gcd
+    # in _squarefree_parts
+    calls = _count_calls(monkeypatch, "powmod", "_pth_power", "gcd")
+
+    def count(fn, *args):
+        for name in calls:
+            calls[name] = 0
         fn(*args)
-        return calls[name]
+        return calls["_pth_power"], calls["powmod"]
 
     walk_factor, walk_is_irreducible = polyring._walk_factor, polyring._walk_is_irreducible
     for field in (field_make(2), F3, F9, field_make(2, 3), field_make(257)):
         rng = Random(f"walk:{field.spec}")
+
+        def cost(steps):
+            return (0, steps) if field.p == 257 else (field.e * steps, 0)
+
         linear = random_irreducible(field, rng, 1)
-        assert count("powmod", walk_factor, linear) == 0
+        assert count(walk_factor, linear) == (0, 0)
         squarefree = linear
         for m in range(1, 7):
             closed_form = field.q % 2 == 1 and m == 2
             prime = random_irreducible(field, rng, m)
-            walk = 0 if closed_form else m // 2
-            assert count("powmod", walk_is_irreducible, prime) == walk
-            assert count("powmod", walk_is_irreducible, prime.scale(field.q - 1)) == walk
-            assert count("powmod", walk_factor, prime) == walk
+            walk = cost(0 if closed_form else m // 2)
+            assert count(walk_is_irreducible, prime) == walk
+            assert count(walk_is_irreducible, prime.scale(field.q - 1)) == walk
+            assert count(walk_factor, prime) == walk
             if m > 1:
                 cofactor = random_poly(field, rng, m - 1, monic=True, exact_deg=True)
-                assert count("powmod", walk_is_irreducible, linear * cofactor) == 1 - closed_form
+                assert count(walk_is_irreducible, linear * cofactor) == cost(1 - closed_form)
                 squarefree = squarefree * prime
-        assert count("gcd", polyring._squarefree_parts, squarefree) == 1
+        count(polyring._squarefree_parts, squarefree)
+        assert calls["gcd"] == 1
+
+
+PTH_POWER_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 5), (5, 4), (13, 1), (17, 2),
+                    (257, 1), (65521, 1)]
+
+
+@pytest.mark.parametrize("p, e", PTH_POWER_FIELDS, ids=[f"F{p ** e}" for p, e in PTH_POWER_FIELDS])
+def test_pth_power_matches_powmod(p, e):
+    # the p-power map against square-and-multiply, once and e times, on
+    # random residues; the moduli (t + a)^p fold t^p to the constant -a^p,
+    # which the remaining e - 1 maps must still raise to the p-th power
+    field = field_make(p, e)
+    rng = Random(f"pth-power:{field.spec}")
+    t = Poly.t(field)
+    degrees = (1, 2, 3) if p > 256 else (1, 2, 3, 5, 8)
+    moduli = [random_poly(field, rng, n, monic=True, exact_deg=True) for n in degrees]
+    if p ** 2 <= 256:
+        moduli += [(t + Poly(field, (a,))) ** p for a in rng.sample(range(field.q), min(field.q, 8))]
+    for mod in moduli:
+        n = mod.degree
+        for h in [t % mod] + [random_poly(field, rng, n - 1) for _ in range(4 if p > 256 else 8)]:
+            once = polyring._pth_power(h, mod)
+            assert once == powmod(h, p, mod)
+            x = h
+            for _ in range(e):
+                x = polyring._pth_power(x, mod)
+            assert x == polyring._qth_power(h, mod) == powmod(h, field.q, mod)
+
+
+def test_qth_power_picks_the_cheaper_side(monkeypatch):
+    # small p spreads at every degree the parser accepts; p = 257 at degree
+    # 5 and p = 17 at degree 12 keep square-and-multiply
+    for p in (2, 3, 5, 7):
+        assert all(polyring._spreads(p, n) for n in range(1, MAX_PARSED_DEGREE + 1))
+    assert not polyring._spreads(257, 5) and not polyring._spreads(17, 12)
+    calls = _count_calls(monkeypatch, "powmod", "_pth_power")
+    for (p, e), n, spread in (((3, 5), 5, True), ((7, 1), 5, True), ((257, 1), 5, False),
+                              ((17, 2), 12, False)):
+        field = field_make(p, e)
+        mod = random_poly(field, Random(f"pick:{field.spec}"), n, monic=True, exact_deg=True)
+        for name in calls:
+            calls[name] = 0
+        polyring._qth_power(Poly.t(field), mod)
+        assert calls == ({"powmod": 0, "_pth_power": e} if spread else {"powmod": 1, "_pth_power": 0})
 
 
 @pytest.mark.parametrize("q, e, max_deg", [(3, 1, 4), (5, 1, 3), (3, 2, 3), (2, 3, 3)])
