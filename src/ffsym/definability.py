@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 from random import Random
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .dirichlet import find_prime_in_ap
 from .gf import Field, FieldElem, smallest_nonsquare
 from .places import Place, RatFunc, divisor, square_class_inf, valuation
-from .polyring import Poly, _random_codes, power_character, random_irreducible, random_poly
+from .polyring import Poly, _random_codes, _random_poly_codes, power_character, random_irreducible
 from .quaternion import RamificationSet, delta, r_tilde_member
 
 DEFAULT_WITNESS_DEGREE_SLACK = 6
@@ -55,12 +55,13 @@ def inf_square_class(c: RatFunc) -> InfSquareClass:
     if c.is_zero:
         raise ValueError("square class of zero is undefined")
     _require_odd(c.field)
-    return _class_at_inf(c.num, c.den)
+    return _class_at_inf(c.field, c.num.coeffs, c.den.coeffs)
 
 
-def _class_at_inf(num: Poly, den: Poly) -> InfSquareClass:
-    w, r = square_class_inf(num, den)
-    if num.field.is_square_code(r):
+def _class_at_inf(field: Field, num: Sequence[int], den: Sequence[int]) -> InfSquareClass:
+    # the class of num/den from nonzero code lists, reduced or not
+    w, r = square_class_inf(field, num, den)
+    if field.is_square_code(r):
         return InfSquareClass.INV_T_TIMES_SQUARE if w % 2 else InfSquareClass.SQUARE
     return (
         InfSquareClass.NONSQUARE_INV_T_TIMES_SQUARE
@@ -206,8 +207,9 @@ def sample_d_pairs(
     with rejection-sampled random pairs accepted by the membership formula.
 
     A random pair is drawn as random_ratfunc(field, rng, 2) would draw it
-    (a.num, a.den, b.num, b.den), and D is decided on the draws' classes at
-    infinity before anything is reduced: only an accepted pair becomes RatFuncs."""
+    (a.num, a.den, b.num, b.den), and D is decided on the draws' code
+    lists, by their classes at infinity, before anything is reduced: only
+    an accepted pair is built as RatFuncs."""
     _check_epsilon(field, epsilon)  # raises for even q as well
     pairs: list[tuple[RatFunc, RatFunc, str]] = []
     while len(pairs) < count:
@@ -217,9 +219,10 @@ def sample_d_pairs(
             pairs.append((wp.a, wp.b, "witness"))
         else:
             for _ in range(200):
-                a_num, a_den, b_num, b_den = (random_poly(field, rng, 2, nonzero=True)
-                                              for _ in range(4))
-                if _in_d(_class_at_inf(a_num, a_den), _class_at_inf(b_num, b_den)):
+                draws = [_random_poly_codes(rng, field.q, 2, nonzero=True) for _ in range(4)]
+                a_num, a_den, b_num, b_den = draws
+                if _in_d(_class_at_inf(field, a_num, a_den), _class_at_inf(field, b_num, b_den)):
+                    a_num, a_den, b_num, b_den = (Poly(field, c, trusted=True) for c in draws)
                     pairs.append((RatFunc(a_num, a_den), RatFunc(b_num, b_den), "random"))
                     break
     return pairs

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .gf import prime_divisors
 from .polyring import (
-    Poly, _mul_codes, _random_codes, _reduce_codes, _reduction, enumerate_monic, enumerate_residues,
+    Poly, _mul_codes, _random_poly_codes, _reduce_codes, _reduction, enumerate_monic, enumerate_residues,
     factor, format_poly, gcd, is_irreducible, powmod,
 )
 
@@ -75,8 +75,8 @@ def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Pol
     c_red = c % f
     deg_g = k - (len(f.coeffs) - 1)
     probes = 64 if rng is not None and deg_g >= 0 and not f.is_constant else 0
-    draws = (Poly(field, _random_codes(rng, field.q, deg_g) + [1], trusted=True)
-             for _ in range(probes))
+    draws = (Poly(field, _random_poly_codes(rng, field.q, deg_g, monic=True, exact_deg=True),
+                  trusted=True) for _ in range(probes))
     scan = enumerate_monic(field, deg_g) if deg_g >= 0 else [Poly.zero(field)]
     for g in itertools.chain(draws, scan):
         cand = c_red + f * g

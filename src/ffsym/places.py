@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .gf import Field, FieldElem
 from .polyring import Poly, factor, format_poly, gcd, invmod, is_irreducible, parse_poly, power_character, random_poly
@@ -272,15 +272,16 @@ def square_class(x: RatFunc, place: Place) -> tuple[int, Poly | int]:
     if x.is_zero:
         raise ValueError("zero has no unit part")
     if place.is_infinite:
-        return square_class_inf(x.num, x.den)
+        return square_class_inf(x.field, x.num.coeffs, x.den.coeffs)
     return _strip_prime(x.num * x.den, place.prime)
 
 
-def square_class_inf(num: Poly, den: Poly) -> tuple[int, int]:
-    """square_class at infinity of num/den, reduced or not: cancelling a
-    common factor g moves w by 2 deg g and r by lead(g)^2, and making den
-    monic scales r by a square, so neither changes the class."""
-    return 2 - len(num.coeffs) - len(den.coeffs), num.field.mul(num.lead_code, den.lead_code)
+def square_class_inf(field: Field, num: Sequence[int], den: Sequence[int]) -> tuple[int, int]:
+    """square_class at infinity of num/den given as nonzero code lists,
+    reduced or not: cancelling a common factor g moves w by 2 deg g and r
+    by lead(g)^2, and making den monic scales r by a square, so neither
+    changes the class."""
+    return 2 - len(num) - len(den), field.mul(num[-1], den[-1])
 
 
 def residue(x: RatFunc, place: Place) -> Poly:
@@ -323,7 +324,7 @@ def unit_character(x: RatFunc, place: Place) -> int:
     prod_{Q != P, e_Q odd} chi_P(Q), where chi_P(c) = c^{((q - 1)/2) deg P}.
     """
     if place.is_infinite:
-        return residue_character(place, square_class_inf(x.num, x.den)[1])
+        return residue_character(place, square_class_inf(x.field, x.num.coeffs, x.den.coeffs)[1])
     field, prime = x.field, place.prime
     div = divisor(x)
     if all(other != prime for other, _ in div):

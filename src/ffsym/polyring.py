@@ -767,6 +767,42 @@ def _random_codes(rng: Random, n: int, count: int) -> list[int]:
     return codes
 
 
+def _random_poly_codes(rng: Random, q: int, max_deg: int, *, nonzero: bool = False,
+                       monic: bool = False, exact_deg: bool = False) -> list[int]:
+    """random_poly's draw as a code list, [] for zero.  By _random_codes'
+    rejection loop it draws the degree below max_deg + 1 (unless
+    exact_deg), the lower coefficients below q and the leading code below
+    q - 1, plus one (unless monic); then, unless exact_deg or monic, one
+    rng.random() that makes the draw zero with mass 1 / (max_deg + 2)."""
+    if max_deg < 0:
+        raise ValueError("negative degree bound")  # the degree range would be empty
+    getrandbits = rng.getrandbits
+    k_deg, k_coef, k_lead = (max_deg + 1).bit_length(), q.bit_length(), (q - 1).bit_length()
+    while True:
+        deg = max_deg
+        if not exact_deg:
+            deg = getrandbits(k_deg)
+            while deg > max_deg:
+                deg = getrandbits(k_deg)
+        codes = []
+        for _ in range(deg):
+            r = getrandbits(k_coef)
+            while r >= q:
+                r = getrandbits(k_coef)
+            codes.append(r)
+        if monic:
+            codes.append(1)  # the code of 1 in every field
+        else:
+            r = getrandbits(k_lead)
+            while r >= q - 1:
+                r = getrandbits(k_lead)
+            codes.append(1 + r)
+        if exact_deg or monic or rng.random() >= 1.0 / (max_deg + 2):
+            return codes
+        if not nonzero:
+            return []  # the zero polynomial's mass
+
+
 def random_poly(
     field: Field,
     rng: Random,
@@ -776,16 +812,8 @@ def random_poly(
     monic: bool = False,
     exact_deg: bool = False,
 ) -> Poly:
-    while True:
-        deg = max_deg if exact_deg else _random_codes(rng, max_deg + 1, 1)[0]
-        codes = _random_codes(rng, field.q, deg)
-        codes.append(field.one_code if monic else 1 + _random_codes(rng, field.q - 1, 1)[0])
-        f = Poly(field, codes, trusted=True)
-        if not exact_deg and not monic and rng.random() < 1.0 / (max_deg + 2):
-            f = Poly.zero(field)  # give the zero polynomial some mass
-        if nonzero and f.is_zero:
-            continue
-        return f
+    return Poly(field, _random_poly_codes(rng, field.q, max_deg, nonzero=nonzero, monic=monic,
+                                          exact_deg=exact_deg), trusted=True)
 
 
 def random_irreducible(field: Field, rng: Random, deg: int) -> Poly:

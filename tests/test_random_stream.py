@@ -1,8 +1,9 @@
 """The library's draws keep random.Random's stream bit for bit.
 
-polyring._random_codes runs Random._randbelow's rejection loop on getrandbits
-itself; these tests hold it to rng.randrange draw for draw, and random_poly
-to a copy of its randrange-based form, with equal generator states after.
+polyring._random_codes and polyring._random_poly_codes run
+Random._randbelow's rejection loop on getrandbits themselves; these tests
+hold _random_codes to rng.randrange draw for draw, and random_poly to its
+randrange-based form (randrange_stream.py), with equal generator states after.
 The goldens and selftest transcripts depend on this stream.
 """
 
@@ -12,7 +13,8 @@ from random import Random
 import pytest
 
 from ffsym.gf import field_make
-from ffsym.polyring import Poly, _random_codes, random_poly
+from ffsym.polyring import _random_codes, random_poly
+from randrange_stream import randrange_random_poly
 
 BOUNDS = [1, 2, 3, 4, 5, 7, 8, 9, 13, 243, 256, 257, 625, 65521, 2**31 - 1]
 SEEDS = range(24)
@@ -26,21 +28,9 @@ def test_random_codes_is_the_randrange_stream(n):
         assert ours.getstate() == oracle.getstate()
 
 
-def _randrange_random_poly(field, rng, max_deg, *, nonzero=False, monic=False, exact_deg=False):
-    # random_poly as written on randrange and randint, the reference stream
-    while True:
-        deg = max_deg if exact_deg else rng.randint(0, max_deg)
-        codes = [rng.randrange(field.q) for _ in range(deg)]
-        codes.append(field.one_code if monic else rng.randrange(1, field.q))
-        f = Poly(field, codes, trusted=True)
-        if not exact_deg and not monic and rng.random() < 1.0 / (max_deg + 2):
-            f = Poly.zero(field)
-        if nonzero and f.is_zero:
-            continue
-        return f
-
-
-@pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (257, 1), (3, 5), (5, 4)])
+# F_2 draws its leading code below 1; F_4 is the smallest even extension
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (7, 1), (3, 2), (257, 1), (3, 5), (5, 4),
+                                 (65521, 1)])
 def test_random_poly_is_the_randrange_stream(p, e):
     field = field_make(p, e)
     for nonzero, monic, exact_deg in itertools.product((False, True), repeat=3):
@@ -49,7 +39,7 @@ def test_random_poly_is_the_randrange_stream(p, e):
             ours, oracle = Random(f"{seed}:{flags}"), Random(f"{seed}:{flags}")
             for max_deg in (0, 1, 2, 3, 5, 0, 4):
                 assert (random_poly(field, ours, max_deg, **flags)
-                        == _randrange_random_poly(field, oracle, max_deg, **flags))
+                        == randrange_random_poly(field, oracle, max_deg, **flags))
             assert ours.getstate() == oracle.getstate()
 
 
@@ -59,5 +49,10 @@ def test_an_empty_range_raises():
     for n in (0, -1, -8):
         with pytest.raises(ValueError):
             _random_codes(Random(0), n, 1)
-    with pytest.raises(ValueError):
-        random_poly(field, Random(0), -1)
+    for max_deg, (nonzero, monic, exact_deg) in itertools.product(
+            (-1, -3), itertools.product((False, True), repeat=3)):
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            random_poly(field, rng, max_deg, nonzero=nonzero, monic=monic, exact_deg=exact_deg)
+        assert rng.getstate() == state  # raised before any draw
