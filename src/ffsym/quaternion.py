@@ -5,10 +5,10 @@ Delta(a, b) is the finite even-sized set of places where H_{a,b} is
 ramified, i.e. where the quadratic local symbol (a, b)_v is -1; it is
 contained in the odd-valuation support of the pair.  The Hilbert product
 formula says that |Delta| is even; hilbert_product is the sign vector of
-the one cached Delta over the joint support.  The trace set S, its
-sumset T = S + S, the unit group of T, the even-valuation classes, the
-Jacobson radical and the union-of-valuation-rings set R~ all reduce to
-valuation conditions over Delta(a, b).
+the one cached Delta over the joint support.  The trace set S, the set T
+(S + S when U + U covers the residue fields), the unit group of T, the
+even-valuation classes, the Jacobson radical and the union-of-valuation-
+rings set R~ all reduce to valuation conditions over Delta(a, b).
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .places import (
     valuation,
 )
 from .polyring import Poly, enumerate_residues, invmod, power_character
-
-SUMSET_MIN_FIELD_SIZE = 11  # trace sumsets cover the residue field only above this
 
 
 class EmptyRamificationError(ValueError):
@@ -167,7 +165,8 @@ def s_global_member(eps: RatFunc, a: RatFunc, b: RatFunc) -> bool:
 
 
 def t_member(x: RatFunc, a: RatFunc, b: RatFunc) -> bool:
-    """x in T = S + S: integral at every place of Delta (0 included)."""
+    """x in T, the valuation set: integral at every place of Delta (0 included).
+    T holds S + S, and equals it when U + U covers every residue field on Delta."""
     d = _require_delta(a, b)
     return all(val_at_least(x, place, 0) for place in d.places)
 
@@ -307,18 +306,14 @@ def decompose_t_element(x: RatFunc, a: RatFunc, b: RatFunc) -> tuple[RatFunc, Ra
     places of Delta and N = u_v - u_inf mod each of them: M + 1 = 1 at
     every such place and deg N < deg(M + 1), so red_v(s1) = u_v on all of
     Delta.  None means exactly that U + U misses red_v(x) at some ramified
-    place; the result depends on (x, a, b) alone.
+    place, so it never occurs when U + U covers every residue field on
+    Delta; any residue field size is accepted.  The result depends on
+    (x, a, b) alone.
     """
     field = x.field
     d = _require_delta(a, b)
     if not t_member(x, a, b):
         raise ValueError("decomposition input must lie in T")
-    for place in d.sorted():
-        if field.q ** place.residue_degree <= SUMSET_MIN_FIELD_SIZE:
-            raise ValueError(
-                "residue field too small for the sumset argument "
-                f"(q^h = {field.q ** place.residue_degree} at {place})"
-            )
 
     u_inf = Poly.zero(field)
     finite = []

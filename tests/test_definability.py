@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from ffsym.definability import (
+    DEFAULT_WITNESS_DEGREE_SLACK,
     InfSquareClass,
     gamma_check,
     inf_square_class,
@@ -12,6 +13,7 @@ from ffsym.definability import (
     sample_d_pairs,
     witness_pair,
 )
+from ffsym.dirichlet import ap_prime_counts, unit_residues
 from ffsym.gf import FieldElem, field_make, smallest_nonsquare
 from ffsym.places import Place, RatFunc, parse_ratfunc, random_ratfunc, valuation
 from ffsym.polyring import Poly, gcd, monic_irreducibles, parse_poly
@@ -112,6 +114,31 @@ def test_witness_pair_examples():
         witness_pair(Place.infinite(F3), eps)
     with pytest.raises(ValueError):
         witness_pair(Place.finite(Poly.t(field_make(2))), None)
+
+
+@pytest.mark.parametrize("q, d, worst", [
+    (3, 1, 2), (3, 2, 3), (3, 3, 6), (3, 4, 7), (5, 1, 2), (5, 2, 5), (7, 1, 2), (7, 2, 3),
+])
+def test_worst_least_companion_degree(q, d, worst):
+    # the largest, over the primes P of degree d, of the least companion
+    # degree witness_pair can reach: even degrees in the class of 1 for odd d,
+    # odd degrees in each nonsquare class for even d, read from exact counts
+    field = field_make(q)
+    least = 0
+    for prime in monic_irreducibles(field, d):
+        units = unit_residues(prime)
+        squares = {r * r % prime for r in units}
+        remaining = [Poly.one(field)] if d % 2 else [r for r in units if r not in squares]
+        k = 1 + d % 2
+        while True:
+            counts = ap_prime_counts(prime, k)
+            remaining = [r for r in remaining if not counts[r]]
+            if not remaining:
+                break
+            k += 2
+        least = max(least, k)
+    assert least == worst
+    assert least <= d + DEFAULT_WITNESS_DEGREE_SLACK
 
 
 def test_witness_pairs_exhaustive_small_primes():

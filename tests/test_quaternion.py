@@ -1,10 +1,11 @@
 from collections import Counter
+from itertools import product
 from random import Random
 
 import pytest
 
 from ffsym.definability import witness_pair
-from ffsym.gf import field_make, smallest_nonsquare
+from ffsym.gf import field_make, is_prime, smallest_nonsquare
 from ffsym import places, quaternion, symbols
 from ffsym.places import (
     Place,
@@ -341,20 +342,35 @@ def test_u_set_examples():
         u_set(field_make(2))
 
 
-@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (7, 1), (13, 1), (257, 1), (5, 2)])
+ODD_PRIME_POWERS_BELOW_1000 = [
+    (p, e) for p in range(3, 1000, 2) if is_prime(p)
+    for e in range(1, 10) if p ** e < 1000
+]
+
+
+@pytest.mark.parametrize("p, e", [(p, e) for p, e in ODD_PRIME_POWERS_BELOW_1000 if p ** e <= 49]
+                         + [(257, 1)])
 def test_u_set_matches_full_sumset(p, e):
     # the sumset loop stops once U + U covers the field; the reference forms
-    # every sum and tests each member directly by the discriminant
+    # every sum and finds each member by a root search: eps is in U exactly
+    # when t^2 - eps*t + 1 has no root in F_q
     field = field_make(p, e)
-    four = field.elem(4).code
     members = tuple(
-        s for s in range(field.q)
-        if (d := field.sub(field.mul(s, s), four)) and not field.is_square_code(d)
+        eps for eps in range(field.q)
+        if all(field.add(field.sub(field.mul(z, z), field.mul(eps, z)), 1) for z in range(field.q))
     )
     sums = {field.add(x, y) for x in members for y in members}
     us = u_set(field)
     assert us.members == members
     assert us.sumset_covers == (len(sums) == field.q)
+
+
+def test_u_sumset_covers_exactly_above_eleven():
+    # the coverage that decompose_t_element needs at each ramified place
+    assert len(ODD_PRIME_POWERS_BELOW_1000) == 184
+    failing = {p ** e for p, e in ODD_PRIME_POWERS_BELOW_1000
+               if not u_set(field_make(p, e)).sumset_covers}
+    assert failing == {3, 5, 7, 11}
 
 
 def test_in_u_residue_matches_u_set():
@@ -402,10 +418,70 @@ def test_decompose_preconditions():
     a, b = _decompose_pair()
     with pytest.raises(ValueError):
         decompose_t_element(RatFunc.t(F13), a, b)  # not in T (pole at infinity)
-    # small residue fields are rejected
-    a3, b3 = A3, B3
-    with pytest.raises(ValueError):
-        decompose_t_element(RatFunc.zero(F3), a3, b3)
+
+
+def _residues_mod(prime):
+    # every polynomial of degree < deg P, by its coefficient tuple
+    field = prime.field
+    return [Poly(field, cs) for cs in product(range(field.q), repeat=prime.degree)]
+
+
+def _u_sumset_by_roots(prime):
+    # U_v holds eps when t^2 - eps*t + 1 has no root among the residues mod P;
+    # the sum of two residues needs no reduction
+    residues = _residues_mod(prime)
+    one = Poly.one(prime.field)
+    u = [eps for eps in residues
+         if not any(((z * z - eps * z + one) % prime).is_zero for z in residues)]
+    return {(x + y).coeffs for x in u for y in u}
+
+
+def _red_by_search(x, place):
+    # red_v(x) for x integral at v: the leading ratio at infinity (0 below
+    # degree), else the residue r with den * r = num mod P
+    field = x.field
+    if place.is_infinite:
+        if x.is_zero or x.num.degree < x.den.degree:
+            return ()
+        return (field.div(x.num.lead_code, x.den.lead_code),)
+    prime = place.prime
+    return next(r.coeffs for r in _residues_mod(prime)
+                if ((x.den * r - x.num) % prime).is_zero)
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)])
+def test_decompose_small_residue_fields(p, e):
+    # None exactly when some ramified v has red_v(x) outside U_v + U_v, with
+    # U_v found by a root search mod P; otherwise a verified pair.  Witness
+    # pairs are ramified at {P, inf}: P runs over the degree-1 primes, and
+    # over F_3 also the degree-2 ones (residue field F_9, which covers)
+    field = field_make(p, e)
+    primes = list(monic_irreducibles(field, 1))
+    if field.q == 3:
+        primes += monic_irreducibles(field, 2)
+    inf = Place.infinite(field)
+    sumsets = {inf: _u_sumset_by_roots(Poly.t(field))}
+    rng = Random(f"small-residue:{field.q}")
+    outcomes = Counter()
+    for prime in primes:
+        wp = witness_pair(Place.finite(prime), smallest_nonsquare(field), rng)
+        sumsets[wp.place] = _u_sumset_by_roots(prime)
+        done = 0
+        while done < 6:
+            x = random_ratfunc(field, rng, 2, nonzero=False)
+            if not t_member(x, wp.a, wp.b):
+                continue
+            done += 1
+            covered = all(_red_by_search(x, v) in sumsets[v] for v in (wp.place, inf))
+            outcomes[covered] += 1
+            if covered:
+                _assert_decomposes(x, wp.a, wp.b)
+            else:
+                assert decompose_t_element(x, wp.a, wp.b) is None
+    if field.q == 9:
+        assert outcomes[False] == 0
+    else:
+        assert outcomes[False] and outcomes[True]
 
 
 def test_decompose_extension_base_field():
