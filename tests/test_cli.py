@@ -4,15 +4,24 @@ import io
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from ffsym import cli
 from ffsym.cli import main
+from ffsym.gf import parse_field_spec
+from ffsym.places import parse_ratfunc
+from ffsym.polyring import is_irreducible, parse_poly, random_irreducible, random_poly
+from ffsym.quaternion import (
+    i_c_member, jacobson_member, parity_class_member, r_tilde_member, s_global_member, t_member,
+    t_unit_member,
+)
 
 F3_SYMBOL = ["symbol", "--q", "3", "--alpha", "t", "--prime", "t+1", "--n", "2"]
 
@@ -100,6 +109,43 @@ def test_delta_and_member(capsys):
     assert code == 2 and "--c" in err
 
 
+_MEMBER_PREDICATES = {
+    "S": lambda x, a, b, c: s_global_member(x, a, b),
+    "T": lambda x, a, b, c: t_member(x, a, b),
+    "Tx": lambda x, a, b, c: t_unit_member(x, a, b),
+    "parity": lambda x, a, b, c: parity_class_member(x, a, b),
+    "Ic": i_c_member,
+    "J": lambda x, a, b, c: jacobson_member(x, a, b),
+    "Rtilde": lambda x, a, b, c: r_tilde_member(x, a, b),
+}
+# (a, b, c) per field: Delta is {t+1, inf}, {t, t+1} and {t, inf}
+_MEMBER_PAIRS = {"3": ("t", "t+1", "t"), "5": ("2", "t^2+t", "t^2+t"), "3^2": ("[1,1]", "t", "t^2+2")}
+_MEMBER_XS = ["0", "2", "t", "1/t", "t+1/t^2", "t^2+2", "t^2/t+1", "t^2+1/t", "1/t^2+1", "t^2+t",
+              "1/t^2+t"]
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBER_PREDICATES))
+@pytest.mark.parametrize("q", sorted(_MEMBER_PAIRS))
+def test_member_cli_matches_library(capsys, q, name):
+    # the JSON verdict of every --set is its quaternion predicate, and a
+    # ValueError there (zero x for parity and Ic) is exit 2; both verdicts occur
+    field = parse_field_spec(q)
+    a, b, c = _MEMBER_PAIRS[q]
+    ab_c = [parse_ratfunc(field, text) for text in (a, b, c)]
+    verdicts = set()
+    for x in _MEMBER_XS:
+        code, out, _ = run(capsys, ["member", "--q", q, "--set", name, "--x", x, "--a", a, "--b", b,
+                                    "--c", c, "--json"])
+        try:
+            expected = _MEMBER_PREDICATES[name](parse_ratfunc(field, x), *ab_c)
+        except ValueError:
+            assert code == 2
+            continue
+        assert code == 0 and json.loads(out)["result"]["member"] is expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_u_set_cli(capsys):
     code, out, _ = run(capsys, ["u-set", "--q", "13", "--json"])
     assert code == 0
@@ -132,6 +178,17 @@ def test_ap_primes_cli(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["count"] == 1 and doc["result"]["example"] == "t^2+1"
+
+
+def test_ap_primes_constant_modulus(capsys):
+    # a constant modulus gets the seeded probes, so the example is a
+    # random monic prime of degree k
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["ap-primes", "--q", "257", "--f", "3", "--c", "1", "--k", "4",
+                                "--json"])
+    assert time.perf_counter() - start < 2.0
+    example = parse_poly(parse_field_spec("257"), json.loads(out)["result"]["example"])
+    assert code == 0 and example.degree == 4 and example.is_monic and is_irreducible(example)
 
 
 def test_uniformity_cli_csv(capsys):
@@ -255,3 +312,101 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+_FUZZ_Q = ["2", "3", "2^2", "5", "3^2", "13", "5^2", "257"]
+
+
+def _fuzz_argv(rng):
+    # one seeded argv of small inputs for a random non-selftest command
+    q = rng.choice(_FUZZ_Q)
+    field = parse_field_spec(q)
+
+    def poly(max_deg=3, nonzero=False):
+        return str(random_poly(field, rng, max_deg, nonzero=nonzero))
+
+    def frac():
+        return f"{poly(2, True)}/{poly(2, True)}"
+
+    def prime():
+        return str(random_irreducible(field, rng, rng.randint(1, 2)))
+
+    command = rng.choice(["symbol", "local-symbol", "hilbert", "reciprocity-sweep", "delta", "member",
+                          "u-set", "witness", "membership", "ap-primes", "uniformity"])
+    args = {
+        "symbol": lambda: ["--alpha", poly(), "--prime", prime(), "--n", str(rng.randint(2, 4))],
+        "local-symbol": lambda: ["--alpha", frac(), "--beta", frac(),
+                                 "--place", rng.choice(["inf", prime()])],
+        "hilbert": lambda: ["--alpha", frac(), "--beta", frac()],
+        "reciprocity-sweep": lambda: ["--degree-max", str(rng.randint(0, 1 if field.q <= 5 else 0)),
+                                      "--n", str(rng.randint(2, 3))],
+        "delta": lambda: ["--a", frac(), "--b", frac()],
+        "member": lambda: ["--set", rng.choice(sorted(_MEMBER_PREDICATES)), "--x", frac(),
+                           "--a", frac(), "--b", frac(), "--c", frac()],
+        "u-set": lambda: [],
+        "witness": lambda: ["--prime", prime(), "--seed", str(rng.randrange(100))],
+        "membership": lambda: ["--target", rng.choice(["A", "AorAinf", "const"]), "--x", frac(),
+                               "--samples", str(rng.randint(1, 4)), "--seed", str(rng.randrange(100))],
+        "ap-primes": lambda: ["--f", poly(2, True), "--c", poly(2), "--k", str(rng.randint(1, 4)),
+                              "--seed", str(rng.randrange(100))],
+        "uniformity": lambda: ["--f", poly(2, True), "--k", str(rng.randint(1, 3))],
+    }[command]()
+    return [command, "--q", q, *args]
+
+
+# constant moduli, degree-0 arguments, and even q for the quadratic commands
+_EDGE_ARGV = [
+    ["ap-primes", "--q", "257", "--f", "3", "--c", "1", "--k", "4"],
+    ["ap-primes", "--q", "3", "--f", "2", "--c", "t", "--k", "3"],
+    ["uniformity", "--q", "5", "--f", "3", "--k", "2"],
+    ["symbol", "--q", "5", "--alpha", "3", "--prime", "t"],
+    ["symbol", "--q", "5", "--alpha", "t", "--prime", "3"],
+    ["local-symbol", "--q", "5", "--alpha", "2", "--beta", "3", "--place", "inf"],
+    ["hilbert", "--q", "3", "--alpha", "1", "--beta", "2"],
+    ["delta", "--q", "3", "--a", "2", "--b", "2"],
+    ["member", "--q", "3", "--set", "J", "--x", "1", "--a", "2", "--b", "2"],
+    ["witness", "--q", "3", "--prime", "2"],
+    ["membership", "--q", "3", "--target", "A", "--x", "0"],
+    ["membership", "--q", "3", "--target", "AorAinf", "--x", "2"],
+    ["reciprocity-sweep", "--q", "257", "--degree-max", "0"],
+    *[[command, "--q", q, *args] for q in ("2", "2^2") for command, args in [
+        ("local-symbol", ["--alpha", "t", "--beta", "t+1", "--place", "inf"]),
+        ("hilbert", ["--alpha", "t", "--beta", "t+1"]),
+        ("delta", ["--a", "t", "--b", "t+1"]),
+        ("member", ["--set", "T", "--x", "t", "--a", "t", "--b", "t+1"]),
+        ("u-set", []),
+        ("witness", ["--prime", "t"]),
+        ("membership", ["--target", "A", "--x", "t"]),
+    ]],
+]
+
+
+class _Hang(BaseException):
+    # not an Exception, so main's exit-3 handler cannot swallow it
+    pass
+
+
+def _raise_hang(signum, frame):
+    raise _Hang
+
+
+def test_seeded_argv_exit_0_or_2(capsys):
+    # admitted input succeeds and refused input exits 2: never a failed
+    # identity (1), a traceback (3) or a run past 10 s
+    rng = Random("cli-robustness")
+    cases = [_fuzz_argv(rng) for _ in range(100)] + _EDGE_ARGV
+    previous = signal.signal(signal.SIGALRM, _raise_hang)
+    start = time.perf_counter()
+    try:
+        for argv in cases:
+            signal.alarm(10)
+            try:
+                code, _, err = run(capsys, argv)
+            except _Hang:
+                pytest.fail(f"no exit within 10 s: {shlex.join(argv)}")
+            finally:
+                signal.alarm(0)
+            assert code in (0, 2), (shlex.join(argv), err)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 5.0

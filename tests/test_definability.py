@@ -17,6 +17,7 @@ from ffsym.dirichlet import ap_prime_counts, unit_residues
 from ffsym.gf import FieldElem, field_make, smallest_nonsquare
 from ffsym.places import Place, RatFunc, parse_ratfunc, random_ratfunc, valuation
 from ffsym.polyring import Poly, gcd, monic_irreducibles, parse_poly
+from ffsym.quaternion import delta
 from ffsym.symbols import local_symbol
 from randrange_stream import randrange_random_irreducible, randrange_random_ratfunc
 
@@ -182,6 +183,20 @@ def test_sample_d_pairs_accepted_by_gamma():
         for a, b, source in pairs:
             assert source in ("witness", "random")
             assert gamma_check(a, b)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (257, 1)])
+def test_d_pairs_ramify_at_infinity(p, e):
+    # ROADMAP item 2's lemma: one coordinate of a pair in D is a nonsquare
+    # unit at inf and the other has odd valuation there, so (a, b)_inf = -1,
+    # and by the product formula Delta(a, b) holds inf and another place
+    field = field_make(p, e)
+    inf = Place.infinite(field)
+    pairs = sample_d_pairs(field, smallest_nonsquare(field), 200, Random(f"d-lemma:{p}^{e}"))
+    assert {source for _, _, source in pairs} == {"witness", "random"}
+    for a, b, _ in pairs:
+        ramified = delta(a, b).places
+        assert inf in ramified and len(ramified) >= 2
 
 
 def _sample_d_pairs_reference(field, epsilon, count, rng):

@@ -22,6 +22,7 @@ from ffsym.polyring import (
     is_irreducible,
     monic_irreducibles,
     parse_poly,
+    random_irreducible,
     random_poly,
 )
 
@@ -170,6 +171,21 @@ def test_find_prime_examples():
             find_prime_in_ap(Poly.zero(F3), c, 2, Random(1))
     with pytest.raises(ValueError, match="target degree"):
         find_prime_in_ap(Poly.t(F3), Poly.one(F3), -1)
+
+
+@pytest.mark.parametrize("q", ["3", "3^2", "257"])
+def test_find_prime_constant_modulus(q):
+    # a constant modulus gets the seeded probes like any other: with an rng
+    # they draw what random_irreducible draws, without one the scan's first
+    # prime is the result; degree 0 holds no prime either way
+    field = parse_field_spec(q)
+    f, c = Poly.constant(field, 2), Poly.t(field)
+    for k in range(1, 5):
+        assert find_prime_in_ap(f, c, k, Random(k)) == random_irreducible(field, Random(k), k)
+    for rng in (None, Random(0)):
+        assert find_prime_in_ap(f, c, 0, rng) is None
+    first = next(g for g in enumerate_monic(field, 2) if is_irreducible(g))
+    assert find_prime_in_ap(f, c, 2) == first
 
 
 def test_find_prime_output_contract():

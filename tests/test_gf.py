@@ -53,33 +53,31 @@ def test_parse_field_spec():
 
 def test_elem_arith_examples():
     f3 = field_make(3)
-    assert f3.elem(2) + f3.elem(2) == f3.elem(1)
+    assert f3.add(2, 2) == 1
     f5 = field_make(5)
-    assert f5.elem(2).inverse() == f5.elem(3)
+    assert f5.inv(2) == 3
     f13 = field_make(13)
-    assert f13.elem(2) ** 6 == f13.elem(12)
+    assert f13.pow_(2, 6) == 12
 
 
 def test_elem_arith_errors():
-    f3, f5 = field_make(3), field_make(5)
+    f3 = field_make(3)
     with pytest.raises(ZeroDivisionError):
-        f3.elem(1) / f3.elem(0)
+        f3.div(1, 0)
     with pytest.raises(ZeroDivisionError):
-        f3.elem(0).inverse()
+        f3.inv(0)
     with pytest.raises(ValueError):
-        f3.elem(1) + f5.elem(1)
-    with pytest.raises(ValueError):
-        f3.elem(2) ** -1
+        f3.pow_(2, -1)
 
 
 def test_extension_field_basic():
     f9 = field_make(3, 2)
     y = f9.elem([0, 1])
-    assert y * y == f9.elem(-1)  # modulus y^2 + 1
+    assert f9.mul(y.code, y.code) == f9.elem(-1).code  # modulus y^2 + 1
     assert f9._decode(y.code) == [0, 1]
     for code in range(1, 9):
-        x = f9.elem(f9._decode(code))
-        assert x * x.inverse() == f9.one
+        c = f9.elem(f9._decode(code)).code
+        assert f9.mul(c, f9.inv(c)) == f9.one_code
 
 
 # Moduli picked by the smallest-irreducible rule; every extension-field
