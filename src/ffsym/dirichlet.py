@@ -67,7 +67,9 @@ def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Pol
     The class mod f equals the class mod monic(f), so every candidate is
     c_red + monic(f) * g: over 64 seeded random monic g of degree
     k - deg f first (given an rng), then over every such g (g = 0 alone
-    when k < deg f); None only after that sweep finds nothing.
+    when k < deg f); None only after that sweep finds nothing.  A constant
+    f makes each candidate g itself, so for k >= 2 the sweep passes over
+    the g with constant term 0, which t divides.
     """
     APQuery(f, c, k)  # rejects k < 0, a zero f and a c not coprime to f
     field = f.field
@@ -77,7 +79,10 @@ def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Pol
     probes = 64 if rng is not None and deg_g >= 0 else 0
     draws = (Poly(field, _random_poly_codes(rng, field.q, deg_g, monic=True, exact_deg=True),
                   trusted=True) for _ in range(probes))
-    scan = enumerate_monic(field, deg_g) if deg_g >= 0 else [Poly.zero(field)]
+    if deg_g < 0:
+        scan = [Poly.zero(field)]
+    else:
+        scan = enumerate_monic(field, deg_g, unit_constant=f.is_constant and k >= 2)
     for g in itertools.chain(draws, scan):
         cand = c_red + f * g
         if len(cand.coeffs) - 1 == k >= 1 and cand.is_monic and is_irreducible(cand):

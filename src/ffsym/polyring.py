@@ -617,12 +617,17 @@ def _walk_factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
 # --- enumeration and random sampling ---
 
 
-def enumerate_monic(field: Field, k: int) -> Iterator[Poly]:
+def enumerate_monic(field: Field, k: int, *, unit_constant: bool = False) -> Iterator[Poly]:
     """All q^k monic polynomials of degree k, lexicographic in
-    (c0, ..., c_{k-1}) with the constant term most significant."""
+    (c0, ..., c_{k-1}) with the constant term most significant; with
+    unit_constant, those with c0 != 0 (k >= 1), the same order without the
+    leading block of the q^(k-1) multiples of t."""
     if k < 0:
         raise ValueError("degree must be >= 0")
-    for tail in itertools.product(range(field.q), repeat=k):
+    ranges = [range(field.q)] * k
+    if unit_constant and k:
+        ranges[0] = range(1, field.q)
+    for tail in itertools.product(*ranges):
         yield Poly(field, tail + (1,), trusted=True)
 
 

@@ -64,9 +64,21 @@ class RamificationSet(NamedTuple):
         return f"Delta({self.a}, {self.b}) = {{{inside}}}"
 
 
+def _ramified_at(a: RatFunc, b: RatFunc, place: Place, m: int, k: int) -> bool:
+    # (a, b)_v = -1 for m = v(a), k = v(b): the tame symbol
+    # chi(-1)^{mk} chi(u_a)^k chi(u_b)^m, taking only the characters that an
+    # odd exponent needs; chi(-1) = -1 exactly when q^h = 3 mod 4
+    field = a.field
+    code = unit_character(a, place) if k % 2 else field.one_code
+    if m % 2:
+        code = field.mul(code, unit_character(b, place))
+        if k % 2 and pow(field.q, place.residue_degree, 4) == 3:
+            code = field.neg(code)
+    return code == field.neg_one_code
+
+
 @lru_cache(maxsize=8192)
 def _delta_cached(a: RatFunc, b: RatFunc) -> RamificationSet:
-    field = a.field
     div_a, div_b = dict(divisor(a)), dict(divisor(b))
     ramified = []
     for place in odd_support(a) | odd_support(b):
@@ -74,16 +86,16 @@ def _delta_cached(a: RatFunc, b: RatFunc) -> RamificationSet:
             m, k = valuation(a, place), valuation(b, place)
         else:
             m, k = div_a.get(place.prime, 0), div_b.get(place.prime, 0)
-        # chi(-1)^{mk} chi(u_a)^k chi(u_b)^m, taking only the characters
-        # that an odd exponent needs; chi(-1) = -1 exactly when q^h = 3 mod 4
-        code = unit_character(a, place) if k % 2 else field.one_code
-        if m % 2:
-            code = field.mul(code, unit_character(b, place))
-            if k % 2 and pow(field.q, place.residue_degree, 4) == 3:
-                code = field.neg(code)
-        if code == field.neg_one_code:
+        if _ramified_at(a, b, place, m, k):
             ramified.append(place)
     return RamificationSet(a, b, frozenset(ramified))
+
+
+def _check_pair(a: RatFunc, b: RatFunc) -> None:
+    if a.is_zero or b.is_zero:
+        raise ValueError("ramification set needs nonzero arguments")
+    if a.field.q % 2 == 0:
+        raise ValueError("quaternion ramification requires odd q")
 
 
 def delta(a: RatFunc, b: RatFunc) -> RamificationSet:
@@ -92,10 +104,7 @@ def delta(a: RatFunc, b: RatFunc) -> RamificationSet:
     Each candidate's tame symbol is read from the divisors that odd_support
     has cached (places.unit_character), dividing nothing; local_symbol,
     which strips P from num*den, stays its independent oracle."""
-    if a.is_zero or b.is_zero:
-        raise ValueError("ramification set needs nonzero arguments")
-    if a.field.q % 2 == 0:
-        raise ValueError("quaternion ramification requires odd q")
+    _check_pair(a, b)
     return _delta_cached(a, b)
 
 
@@ -220,8 +229,17 @@ def jacobson_member(x: RatFunc, a: RatFunc, b: RatFunc) -> bool:
 def r_tilde_member(x: RatFunc, a: RatFunc, b: RatFunc) -> bool:
     """x in the union of valuation rings over Delta: 0, or v >= 0 somewhere.
 
-    Equivalent dual form: x = 0 or 1/x lies outside the Jacobson radical.
+    Decided at infinity first: a nonzero x with v_inf(x) >= 0 belongs when
+    (a, b)_inf = -1, i.e. when inf is in Delta, and that symbol needs only
+    the degrees and leading coefficients, so no divisor is factored.  Every
+    other x is tested over the whole of Delta.  Equivalent dual form:
+    x = 0 or 1/x lies outside the Jacobson radical.
     """
+    _check_pair(a, b)
+    inf = Place.infinite(a.field)
+    if (not x.is_zero and valuation(x, inf) >= 0
+            and _ramified_at(a, b, inf, valuation(a, inf), valuation(b, inf))):
+        return True
     d = _require_delta(a, b)
     if x.is_zero:
         return True

@@ -97,6 +97,11 @@ CASES = {
                           "--samples", "8"],
     "witness_13_t2p2": ["witness", "--q", "13", "--prime", "t^2+2"],
     "ap_primes_257_k3": ["ap-primes", "--q", "257", "--f", "t+3", "--c", "5", "--k", "3"],
+    # members integral at infinity over prime fields: every sampled pair of D
+    # ramifies at infinity, so R~ accepts each of them there
+    "membership_7_inf_fraction": ["membership", "--q", "7", "--target", "AorAinf",
+                                  "--x", "t+1/t^2+3"],
+    "membership_13_constant": ["membership", "--q", "13", "--target", "A", "--x", "5"],
     # the Frobenius walk on split and irreducible quadratics and on quartics,
     # above the sieve cap, over a prime field and an extension field
     "hilbert_257_quadratics": ["hilbert", "--q", "257", "--alpha", "t^2+3*t+2/t^2+3",

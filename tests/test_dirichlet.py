@@ -1,4 +1,6 @@
+import time
 from collections import Counter
+from itertools import product
 from random import Random
 
 import pytest
@@ -186,6 +188,36 @@ def test_find_prime_constant_modulus(q):
         assert find_prime_in_ap(f, c, 0, rng) is None
     first = next(g for g in enumerate_monic(field, 2) if is_irreducible(g))
     assert find_prime_in_ap(f, c, 2) == first
+
+
+def _first_prime_prime_to_t(field, k):
+    # brute force: the first irreducible in enumerate_monic order (constant
+    # term most significant) whose constant term is nonzero
+    for c0 in range(1, field.q):
+        for rest in product(range(field.q), repeat=k - 1):
+            g = Poly(field, (c0, *rest, 1))
+            if is_irreducible(g):
+                return g
+
+
+def test_find_prime_constant_modulus_skips_multiples_of_t():
+    # without an rng a constant modulus scans the g of degree k themselves,
+    # and for k >= 2 the q^(k-1) multiples of t that lead enumerate_monic
+    # order are passed over unvisited: the first prime found is unchanged
+    for k in (2, 3):
+        first = next(g for g in enumerate_monic(F3, k) if is_irreducible(g))
+        assert _first_prime_prime_to_t(F3, k) == first
+        assert find_prime_in_ap(Poly.constant(F3, 2), Poly.one(F3), k) == first
+    f257 = field_make(257)
+    f, c = Poly.constant(f257, 3), Poly.one(f257)
+    for k in (3, 4):
+        start = time.perf_counter()
+        out = find_prime_in_ap(f, c, k)
+        assert time.perf_counter() - start < 2.0
+        assert out == _first_prime_prime_to_t(f257, k)
+    assert find_prime_in_ap(f, c, 3) == parse_poly(f257, "t^3+t^2+1")
+    # k = 1: t itself is the first prime of degree 1
+    assert find_prime_in_ap(f, c, 1) == Poly.t(f257)
 
 
 def test_find_prime_output_contract():

@@ -296,6 +296,15 @@ def test_enumerate_monic():
     assert len(set(polys)) == 9
 
 
+def test_enumerate_monic_unit_constant():
+    # the same order without the monics that t divides; degree 0 keeps 1
+    for field, k in ((F3, 1), (F3, 3), (F5, 2), (F9, 2)):
+        units = [f for f in enumerate_monic(field, k) if f.coeffs[0] != 0]
+        assert list(enumerate_monic(field, k, unit_constant=True)) == units
+        assert len(units) == (field.q - 1) * field.q ** (k - 1)
+    assert list(enumerate_monic(F5, 0, unit_constant=True)) == [Poly.one(F5)]
+
+
 def test_enumerate_residues_follows_monic_order():
     for field, k in ((F3, 0), (F3, 2), (F5, 1), (F9, 2)):
         t_k = Poly(field, (0,) * k + (1,))

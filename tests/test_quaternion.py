@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from ffsym.definability import witness_pair
+from ffsym.definability import sample_d_pairs, witness_pair
 from ffsym.gf import field_make, is_prime, smallest_nonsquare
 from ffsym import places, quaternion, symbols
 from ffsym.places import (
@@ -18,7 +18,7 @@ from ffsym.places import (
     unit_character,
     valuation,
 )
-from ffsym.polyring import Poly, monic_irreducibles, parse_poly, random_irreducible
+from ffsym.polyring import Poly, monic_irreducibles, parse_poly, random_irreducible, random_poly
 from ffsym.quaternion import (
     EmptyRamificationError,
     decompose_t_element,
@@ -317,6 +317,109 @@ def test_r_tilde_matches_jacobson_dual():
             for wp in pairs:
                 dual = x.is_zero or not jacobson_member(x.inverse(), wp.a, wp.b)
                 assert r_tilde_member(x, wp.a, wp.b) == dual
+
+
+def _r_tilde_cases(field, rng):
+    # D pairs (witness and random), witness pairs at chosen primes, eight
+    # random pairs with inf outside a nonempty Delta and four with an empty
+    # Delta; x = 0, constants, polynomials, random fractions and inverses
+    # of fractions with a pole at inf
+    eps = smallest_nonsquare(field)
+    pairs = [(a, b) for a, b, _ in sample_d_pairs(field, eps, 12, rng)]
+    for prime in (*monic_irreducibles(field, 1)[:2], random_irreducible(field, rng, 2)):
+        wp = witness_pair(Place.finite(prime, trusted=True), eps, rng)
+        pairs.append((wp.a, wp.b))
+    inf = Place.infinite(field)
+    finite_only = empty = 0
+    while finite_only < 8 or empty < 4:
+        a, b = random_ratfunc(field, rng, 2), random_ratfunc(field, rng, 2)
+        ram = delta(a, b).places
+        if not ram and empty < 4:
+            empty += 1
+        elif ram and inf not in ram and finite_only < 8:
+            finite_only += 1
+        else:
+            continue
+        pairs.append((a, b))
+    pairs.append((RatFunc.one(field), random_ratfunc(field, rng, 2)))  # (1, b) = 1 everywhere
+    xs = [RatFunc.zero(field), RatFunc.one(field), RatFunc.constant(field, eps)]
+    for _ in range(6):
+        xs.append(RatFunc.from_poly(random_poly(field, rng, 3, nonzero=True)))
+        x = random_ratfunc(field, rng, 3)
+        xs.append(x)
+        if not x.den.is_constant and valuation(x, inf) < 0:
+            xs.append(x.inverse())  # integral at inf, a zero where x had a pole
+    return pairs, xs
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2), (13, 1), (257, 1), (3, 5)])
+def test_r_tilde_matches_valuations_over_delta(p, e):
+    # R~ is decided at inf first; the verdict must be the definition over the
+    # whole of Delta, and an empty Delta must raise whatever x is
+    field = field_make(p, e)
+    rng = Random(f"r-tilde:{p}^{e}")
+    pairs, xs = _r_tilde_cases(field, rng)
+    seen = Counter()
+    for a, b in pairs:
+        ram = delta(a, b).places
+        # for the product M of Delta's finite primes, 1/M is integral at inf
+        # only and t + 1/M nowhere on Delta
+        m = Poly.one(field)
+        for place in ram - {Place.infinite(field)}:
+            m = m * place.prime
+        extra = [RatFunc(Poly.one(field), m), RatFunc(m * Poly.t(field) + Poly.one(field), m)]
+        for x in xs + extra:
+            if not ram:
+                with pytest.raises(EmptyRamificationError):
+                    r_tilde_member(x, a, b)
+                seen["empty"] += 1
+                continue
+            expected = x.is_zero or any(valuation(x, v) >= 0 for v in ram)
+            assert r_tilde_member(x, a, b) == expected, (x, a, b)
+            seen[expected, x.is_zero or valuation(x, Place.infinite(field)) >= 0] += 1
+    assert seen["empty"] and all(seen[key] for key in product((True, False), repeat=2))
+
+
+def test_r_tilde_argument_checks():
+    # delta's checks in delta's order, before x is looked at
+    for field in (field_make(2, 2), field_make(2, 3)):
+        one, t = RatFunc.one(field), RatFunc.t(field)
+        for x in (RatFunc.zero(field), one, t.inverse()):
+            with pytest.raises(ValueError, match="odd q"):
+                r_tilde_member(x, parse_ratfunc(field, "t+1"), t)
+        with pytest.raises(ValueError, match="nonzero arguments"):
+            r_tilde_member(one, RatFunc.zero(field), t)
+    for a, b in ((RatFunc.zero(F5), RatFunc.t(F5)), (RatFunc.t(F5), RatFunc.zero(F5))):
+        with pytest.raises(ValueError, match="nonzero arguments"):
+            r_tilde_member(RatFunc.one(F5), a, b)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (257, 1)])
+def test_r_tilde_at_infinity_factors_nothing(p, e):
+    # against a pair of D, inf is in Delta, so a member integral at inf is
+    # accepted from degrees and leading coefficients alone: no divisor is
+    # built and Delta is not computed; a polynomial member (v_inf < 0) still
+    # takes the whole of Delta
+    field = field_make(p, e)
+    rng = Random(f"r-tilde-cost:{p}^{e}")
+    eps = smallest_nonsquare(field)
+    pairs = [(a, b) for a, b, _ in sample_d_pairs(field, eps, 6, rng)]
+    at_inf = [RatFunc.constant(field, eps), parse_ratfunc(field, "t+1/t^2+2"),
+              parse_ratfunc(field, "2*t^2+1/t^2+t+1")]
+    for a, b in pairs:
+        for x in at_inf:
+            places.divisor.cache_clear()
+            quaternion._delta_cached.cache_clear()
+            assert r_tilde_member(x, a, b)
+            info = places.divisor.cache_info()
+            assert info.hits + info.misses == 0
+            assert quaternion._delta_cached.cache_info().misses == 0
+        places.divisor.cache_clear()
+        quaternion._delta_cached.cache_clear()
+        poly = RatFunc.from_poly(random_poly(field, rng, 3, nonzero=True) * Poly.t(field))
+        assert r_tilde_member(poly, a, b)
+        assert quaternion._delta_cached.cache_info().misses == 1
+        assert places.divisor.cache_info().misses >= 1
 
 
 def test_s_plus_s_lands_in_t():
