@@ -163,7 +163,7 @@ def witness_pair(
             b = RatFunc.from_poly(q_prime.scale(epsilon.code))
             ram = delta(a, b)
             if ram.places == frozenset({place, inf}) and gamma_check(a, b):
-                return WitnessPair(a, b, place, Place.finite(q_prime, trusted=True), epsilon)
+                return WitnessPair(a, b, place, Place(field, q_prime), epsilon)
     raise ValueError(f"no companion prime for {place} up to the degree cap {cap} (raise the cap)")
 
 
@@ -215,7 +215,7 @@ def sample_d_pairs(
     while len(pairs) < count:
         if rng.random() < 0.5:
             prime = random_irreducible(field, rng, 1 + _random_codes(rng, 2, 1)[0])
-            wp = witness_pair(Place.finite(prime, trusted=True), epsilon, rng)
+            wp = witness_pair(Place(field, prime), epsilon, rng)
             pairs.append((wp.a, wp.b, "witness"))
         else:
             for _ in range(200):
@@ -255,7 +255,7 @@ def member_A_union_Ainf_theorem(
         return MembershipReport(True, agrees, tuple(evidence))
     # pick a denominator prime with negative valuation; one witness suffices
     bad_prime = next(prime for prime, v in divisor(x) if v < 0)
-    wp = witness_pair(Place.finite(bad_prime, trusted=True), epsilon, rng)
+    wp = witness_pair(Place(field, bad_prime), epsilon, rng)
     accepted = r_tilde_member(x, wp.a, wp.b)
     ev = PairEvidence(wp.a, wp.b, "witness", accepted)
     return MembershipReport(False, not accepted, (ev,))

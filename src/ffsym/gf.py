@@ -43,15 +43,15 @@ def is_prime(n: int) -> bool:
 def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     # Lexicographically smallest monic irreducible of degree e over F_p,
     # ordering coefficient tuples (c0, ..., c_{e-1}) constant term first.
-    # Candidates with c0 = 0 are divisible by t, so they are skipped untested;
+    # Candidates with c0 = 0 are divisible by t, so they are not enumerated;
     # the few others take the Frobenius walk, so that making a field builds
     # no sieve table.  Imported here, not at the top, because polyring
     # imports this module.
     from .polyring import _walk_is_irreducible, enumerate_monic
 
     return next(
-        f.coeffs for f in enumerate_monic(field_make(p), e)
-        if f.coeffs[0] and _walk_is_irreducible(f)
+        f.coeffs for f in enumerate_monic(field_make(p), e, unit_constant=True)
+        if _walk_is_irreducible(f)
     )
 
 

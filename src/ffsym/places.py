@@ -31,12 +31,11 @@ class Place:
         self.prime = prime  # None encodes the infinite place
 
     @classmethod
-    def finite(cls, prime: Poly, *, trusted: bool = False) -> "Place":
-        if not trusted:
-            if not prime.is_monic or prime.is_constant:
-                raise ValueError("finite places are monic of positive degree")
-            if not is_irreducible(prime):
-                raise ValueError("finite places must be irreducible")
+    def finite(cls, prime: Poly) -> "Place":
+        if not prime.is_monic or prime.is_constant:
+            raise ValueError("finite places are monic of positive degree")
+        if not is_irreducible(prime):
+            raise ValueError("finite places must be irreducible")
         return cls(prime.field, prime)
 
     @classmethod
@@ -108,24 +107,12 @@ class RatFunc:
     # --- constructors ---
 
     @classmethod
-    def zero(cls, field: Field) -> "RatFunc":
-        return cls(Poly.zero(field), Poly.one(field), trusted=True)
-
-    @classmethod
-    def one(cls, field: Field) -> "RatFunc":
-        return cls(Poly.one(field), Poly.one(field), trusted=True)
-
-    @classmethod
     def constant(cls, field: Field, value: Union[int, FieldElem]) -> "RatFunc":
         return cls(Poly.constant(field, value), Poly.one(field), trusted=True)
 
     @classmethod
     def from_poly(cls, f: Poly) -> "RatFunc":
         return cls(f, Poly.one(f.field), trusted=True)
-
-    @classmethod
-    def t(cls, field: Field) -> "RatFunc":
-        return cls(Poly.t(field), Poly.one(field), trusted=True)
 
     # --- queries ---
 
@@ -157,31 +144,14 @@ class RatFunc:
         self._check(other)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, trusted=True)
-
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         self._check(other)
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         return RatFunc(self.den, self.num)
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
-
-    def scale(self, value: Union[int, FieldElem]) -> "RatFunc":
-        return RatFunc(self.num.scale(self.field.elem(value).code), self.den, trusted=True)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -340,7 +310,7 @@ def support(x: RatFunc) -> frozenset[Place]:
     """All places with nonzero valuation."""
     if x.is_zero:
         raise ValueError("support of zero is undefined")
-    places = {Place.finite(pr, trusted=True) for pr, _ in divisor(x)}
+    places = {Place(x.field, pr) for pr, _ in divisor(x)}
     if len(x.num.coeffs) != len(x.den.coeffs):
         places.add(Place.infinite(x.field))
     return frozenset(places)
@@ -350,7 +320,7 @@ def odd_support(x: RatFunc) -> frozenset[Place]:
     """Places where v_P(x) is odd, including infinity."""
     if x.is_zero:
         raise ValueError("odd support of zero is undefined")
-    places = {Place.finite(pr, trusted=True) for pr, v in divisor(x) if v % 2}
+    places = {Place(x.field, pr) for pr, v in divisor(x) if v % 2}
     if (len(x.den.coeffs) - len(x.num.coeffs)) % 2:
         places.add(Place.infinite(x.field))
     return frozenset(places)

@@ -204,7 +204,7 @@ def i_c_member(x: RatFunc, a: RatFunc, b: RatFunc, c: RatFunc) -> bool:
     if x.is_zero or c.is_zero:
         raise ValueError("the scaled parity class needs nonzero x and c")
     odd_c = odd_support(c)
-    one = RatFunc.one(x.field)
+    one = RatFunc.constant(x.field, 1)
     for place in d.places:
         if place in odd_c:
             v = valuation(x, place)

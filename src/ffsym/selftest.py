@@ -117,7 +117,7 @@ def criterion_4(seed: int) -> tuple[bool, str]:
         for deg in range(1, max_deg + 1):
             for prime in monic_irreducibles(field, deg):
                 total += 1
-                place = Place.finite(prime, trusted=True)
+                place = Place(field, prime)
                 try:
                     wp = witness_pair(place, eps, _rng(seed, 4, str(prime)))
                 except ValueError:  # the companion search gave up
@@ -192,7 +192,7 @@ def criterion_8(seed: int) -> tuple[bool, str]:
         for deg in (1, 2, 3):
             primes.extend(monic_irreducibles(field, deg))
         pairs = [
-            witness_pair(Place.finite(pr, trusted=True), eps, rng) for pr in primes[:10]
+            witness_pair(Place(field, pr), eps, rng) for pr in primes[:10]
         ]
         for _ in range(500):
             x = random_ratfunc(field, rng, 3, nonzero=False)

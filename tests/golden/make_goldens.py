@@ -30,7 +30,8 @@ import sys
 from pathlib import Path
 
 # The README CLI examples (selftest excluded; --json in place of --csv),
-# then extension-field cases: tabled F_9, F_25, F_243 and table-less F_625.
+# then extension-field cases over F_9, F_25, F_243 and F_625 (every field up
+# to gf.MAX_Q builds its log tables).
 CASES = {
     "symbol": ["symbol", "--q", "3", "--alpha", "t", "--prime", "t+1", "--n", "2"],
     "local_symbol": ["local-symbol", "--q", "3", "--alpha", "2", "--beta", "1/t", "--place", "inf"],
@@ -115,6 +116,17 @@ CASES = {
                                    "/t^3+[2,2,0,0,0]*t^2+[1,0,1,0,0]*t+[0,1,1,0,0]",
                             "--b", "t^5+[0,1,2,1,0]*t^4+[0,2,0,2,0]*t^3+[2,1,2,1,0]*t^2"
                                    "+[1,2,0,0,2]*t+[0,2,1,1,0]"],
+    # CLI paths no other transcript reaches: the parity, I^c and local-square
+    # member sets, an explicit --epsilon, and a prime power above the sieve
+    # cap (3^9 > polyring.SIEVE_CAP), where factoring takes p-th roots
+    "member_parity_5": ["member", "--q", "5", "--set", "parity", "--x", "t^2",
+                        "--a", "t", "--b", "2*t+1"],
+    "member_ic_5": ["member", "--q", "5", "--set", "Ic", "--x", "2", "--a", "t",
+                    "--b", "2*t+1", "--c", "t"],
+    "member_square_5": ["member", "--q", "5", "--set", "S", "--x", "t^2/t^2+1",
+                        "--a", "t", "--b", "2"],
+    "witness_5_epsilon": ["witness", "--q", "5", "--prime", "t+1", "--epsilon", "3"],
+    "delta_3_pth_root": ["delta", "--q", "3", "--a", "t^9+1", "--b", "t"],
 }
 
 

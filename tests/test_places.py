@@ -26,6 +26,7 @@ from ffsym.places import (
 from ffsym.polyring import (
     Poly, factor, invmod, is_irreducible, monic_irreducibles, parse_poly, random_irreducible,
 )
+from powers import power
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -68,12 +69,12 @@ def test_valuation_examples():
     y = parse_ratfunc(F3, "1/t^3+3*t^2+3*t+1")  # 1/(t+1)^3
     assert valuation(y, Place.finite(parse_poly(F3, "t+1"))) == -3
     with pytest.raises(ValueError):
-        valuation(RatFunc.zero(F3), _inf(F3))
+        valuation(RatFunc.constant(F3, 0), _inf(F3))
 
 
 def test_residue_examples():
     pt1 = Place.finite(parse_poly(F3, "t+1"))
-    assert residue(RatFunc.t(F3), pt1) == Poly.constant(F3, 2)
+    assert residue(RatFunc.from_poly(Poly.t(F3)), pt1) == Poly.constant(F3, 2)
     p = parse_poly(F3, "t^2+1")
     pl = Place.finite(p)
     assert residue(RatFunc.from_poly(p + Poly.one(F3)), pl) == Poly.one(F3)
@@ -86,7 +87,7 @@ def test_residue_inf_examples():
     assert residue_inf(parse_ratfunc(F3, "2*t+1/t+2")) == F3.elem(2)
     assert residue_inf(parse_ratfunc(F3, "1/t")) == F3.zero
     with pytest.raises(ValueError):
-        residue_inf(RatFunc.t(F3))
+        residue_inf(RatFunc.from_poly(Poly.t(F3)))
 
 
 def test_residue_inf_prime_power_ratio():
@@ -98,7 +99,7 @@ def test_residue_inf_prime_power_ratio():
         for p in primes:
             for q in primes:
                 dp, dq = len(p.coeffs) - 1, len(q.coeffs) - 1
-                x = RatFunc(q ** dp, p ** dq)
+                x = RatFunc(power(q, dp), power(p, dq))
                 assert residue_inf(x) == field.one
 
 
@@ -115,23 +116,22 @@ def test_residue_over_extension_field():
                 with pytest.raises(ValueError):
                     residue(x, pl)
                 continue
-            u = x * pi ** (-v)  # v_P(u) = 0
+            u = x * power(pi, -v)  # v_P(u) = 0
             expected = (u.num % prime) * invmod(u.den % prime, prime) % prime
             assert residue(u, pl) == expected and not expected.is_zero
             assert residue(u * pi, pl).is_zero
             with pytest.raises(ValueError):
                 residue(u * pi.inverse(), pl)
-    inf = _inf(F9)
+    inf, t = _inf(F9), RatFunc.from_poly(Poly.t(F9))
     for _ in range(40):
         x = random_ratfunc(F9, rng, 3)
         v = valuation(x, inf)
-        t_v = RatFunc.t(F9) ** v  # x * t^v has v_inf = 0
-        u = x * t_v
+        u = x * power(t, v)  # x * t^v has v_inf = 0
         lead = F9.div(u.num.lead_code, u.den.lead_code)
         assert residue_inf(u) == FieldElem(F9, lead)
-        assert residue_inf(u * RatFunc.t(F9).inverse()) == F9.zero
+        assert residue_inf(u * t.inverse()) == F9.zero
         with pytest.raises(ValueError):
-            residue_inf(u * RatFunc.t(F9))
+            residue_inf(u * t)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (3, 2), (257, 1), (3, 5), (5, 4), (2, 2), (2, 3)])
@@ -142,29 +142,29 @@ def test_divisor_is_the_factored_form(p, e):
     rng = Random(f"divisor:{p}^{e}")
     for n in range(30):
         prime = random_irreducible(field, rng, 1 + n % 2)
-        x = random_ratfunc(field, rng, 3) * RatFunc.from_poly(prime) ** rng.randint(-2, 2)
+        x = random_ratfunc(field, rng, 3) * power(RatFunc.from_poly(prime), rng.randint(-2, 2))
         div = divisor(x)
         assert isinstance(div, tuple) and all(isinstance(pv, tuple) for pv in div)
         with pytest.raises(TypeError):
             div[0] = (prime, 1)  # shared by every caller through the cache
-        places = [Place.finite(pr, trusted=True) for pr, _ in div]
+        places = [Place(field, pr) for pr, _ in div]
         assert places == sorted_places(places) and len(set(places)) == len(places)
         rebuilt = RatFunc.constant(field, FieldElem(field, x.lead_ratio_code()))
         for pr, v in div:
             assert pr.is_monic and not pr.is_constant and is_irreducible(pr) and v != 0
-            rebuilt = rebuilt * RatFunc.from_poly(pr) ** v
+            rebuilt = rebuilt * power(RatFunc.from_poly(pr), v)
         assert rebuilt == x
         # valuations against stripping P from num and den one division at a time
         outside = [random_irreducible(field, rng, 1 + k % 2) for k in range(3)]
         for pr in [pr for pr, _ in div] + outside:
             stripped = _strip_prime(x.num, pr)[0] - _strip_prime(x.den, pr)[0]
-            assert valuation(x, Place.finite(pr, trusted=True)) == stripped
+            assert valuation(x, Place(field, pr)) == stripped
             assert stripped == dict(div).get(pr, 0)
         # a polynomial's divisor is its factorization: one factored form
         if not x.num.is_constant:
             assert divisor(RatFunc.from_poly(x.num)) == factor(x.num)
     with pytest.raises(ValueError):
-        divisor(RatFunc.zero(field))
+        divisor(RatFunc.constant(field, 0))
 
 
 def test_place_hashes_agree_between_processes():
@@ -184,23 +184,23 @@ def test_place_hashes_agree_between_processes():
 
 
 def test_odd_support_examples():
-    x = RatFunc.from_poly(Poly.t(F3) * parse_poly(F3, "t+1") ** 2)
+    x = RatFunc.from_poly(Poly.t(F3) * power(parse_poly(F3, "t+1"), 2))
     assert {str(p) for p in odd_support(x)} == {"t", "inf"}
     assert odd_support(RatFunc.constant(F3, 2)) == frozenset()
     y = parse_ratfunc(F3, "t/t+1")
     assert {str(p) for p in odd_support(y)} == {"t", "t+1"}
     with pytest.raises(ValueError):
-        odd_support(RatFunc.zero(F3))
+        odd_support(RatFunc.constant(F3, 0))
 
 
 def test_is_square_local_examples():
     assert is_square_local(parse_ratfunc(F3, "t^2"), _inf(F3))
     assert not is_square_local(parse_ratfunc(F3, "2*t^2"), _inf(F3))
-    assert not is_square_local(RatFunc.t(F3), Place.finite(Poly.t(F3)))
+    assert not is_square_local(RatFunc.from_poly(Poly.t(F3)), Place.finite(Poly.t(F3)))
     with pytest.raises(ValueError):
-        is_square_local(RatFunc.zero(F3), _inf(F3))
+        is_square_local(RatFunc.constant(F3, 0), _inf(F3))
     with pytest.raises(ValueError):
-        is_square_local(RatFunc.one(field_make(2)), _inf(field_make(2)))
+        is_square_local(RatFunc.constant(field_make(2), 1), _inf(field_make(2)))
 
 
 def test_degree_product_formula():
@@ -239,7 +239,7 @@ def test_residue_is_ring_hom():
         while count < 100:
             x = random_ratfunc(field, rng, 3, nonzero=False)
             y = random_ratfunc(field, rng, 3, nonzero=False)
-            pl = Place.finite(primes[rng.randrange(len(primes))], trusted=True)
+            pl = Place(field, primes[rng.randrange(len(primes))])
             if not (x.is_zero or valuation(x, pl) >= 0):
                 continue
             if not (y.is_zero or valuation(y, pl) >= 0):

@@ -29,6 +29,7 @@ from ffsym.polyring import (
     random_poly,
     xgcd,
 )
+from powers import power
 
 F3 = field_make(3)
 F5 = field_make(5)
@@ -38,7 +39,7 @@ F9 = field_make(3, 2)
 def test_arith_examples():
     t = Poly.t(F3)
     one = Poly.one(F3)
-    assert (t + one) ** 2 == parse_poly(F3, "t^2+2*t+1")
+    assert power(t + one, 2) == parse_poly(F3, "t^2+2*t+1")
     assert (t + one) * parse_poly(F3, "t^2+2*t+1") == parse_poly(F3, "t^3+1")
     f = parse_poly(F3, "t^2+2")
     assert f + Poly.zero(F3) == f
@@ -68,7 +69,7 @@ def test_mixed_descriptor_error():
 
 def test_divmod_examples():
     t = Poly.t(F3)
-    q, r = divmod(t ** 3, t + Poly.one(F3))
+    q, r = divmod(power(t, 3), t + Poly.one(F3))
     assert q == parse_poly(F3, "t^2+2*t+1")
     assert r == Poly.constant(F3, 2)
     assert gcd(parse_poly(F5, "t^2+4"), parse_poly(F5, "t+4")) == parse_poly(F5, "t+4")
@@ -181,7 +182,7 @@ def _rebuild(f, fac):
     # f from its leading coefficient and its (monic prime, multiplicity) pairs
     acc = Poly(f.field, [f.lead_code])
     for prime, mult in fac:
-        acc = acc * prime ** mult
+        acc = acc * power(prime, mult)
     return acc
 
 
@@ -245,7 +246,7 @@ def test_factor_walk_fields_match_ben_or(p, e):
         mults = [2, 1] if shape == (2, 1) else [1] * len(shape)
         f = Poly(field, (rng.randrange(1, field.q),))
         for prime, mult in zip(primes, mults):
-            f = f * prime ** mult
+            f = f * power(prime, mult)
         expected = tuple(sorted(zip(primes, mults), key=lambda pm: pm[0].sort_key()))
         assert factor(f) == expected
         assert is_irreducible(f) is False
@@ -481,7 +482,7 @@ def test_pth_power_matches_powmod(p, e):
     degrees = (1, 2, 3) if p > 256 else (1, 2, 3, 5, 8)
     moduli = [random_poly(field, rng, n, monic=True, exact_deg=True) for n in degrees]
     if p ** 2 <= 256:
-        moduli += [(t + Poly(field, (a,))) ** p for a in rng.sample(range(field.q), min(field.q, 8))]
+        moduli += [power(t + Poly(field, (a,)), p) for a in rng.sample(range(field.q), min(field.q, 8))]
     for mod in moduli:
         n = mod.degree
         for h in [t % mod] + [random_poly(field, rng, n - 1) for _ in range(4 if p > 256 else 8)]:
@@ -618,7 +619,7 @@ def test_walk_seeds_only_to_split(monkeypatch):
     field = field_make(257)
     linear, other, third = (parse_poly(field, f"t+{c}") for c in (1, 2, 3))
     quadratic = random_irreducible(field, Random("seeds"), 2)
-    assert polyring._walk_factor(linear * quadratic ** 2) == ((linear, 1), (quadratic, 2))
+    assert polyring._walk_factor(linear * power(quadratic, 2)) == ((linear, 1), (quadratic, 2))
     assert polyring._walk_factor(linear * other) == ((linear, 1), (other, 1))
     assert seeds == []
     assert polyring._walk_factor(linear * other * third) == ((linear, 1), (other, 1), (third, 1))
@@ -701,7 +702,7 @@ def test_character_table_rejects_a_reducible_modulus():
 
 def test_powmod_matches_naive():
     # prime, extension, characteristic-2 and q > 256 fields; moduli of degree
-    # 0 to 4, each monic and scaled by the code 2, against (f ** n) % mod;
+    # 0 to 4, each monic and scaled by the code 2, against f^n mod mod;
     # negative n against powers of invmod(f, mod)
     for p, e in [(5, 1), (3, 1), (257, 1), (3, 2), (2, 3), (5, 4)]:
         field = field_make(p, e)
@@ -713,14 +714,14 @@ def test_powmod_matches_naive():
                     f = random_poly(field, rng, 4)
                     n = rng.randint(1, 40)
                     assert powmod(f, 0, mod) == Poly.one(field)
-                    assert powmod(f, n, mod) == (f ** n) % mod
+                    assert powmod(f, n, mod) == power(f, n) % mod
                     try:
                         inverse = invmod(f, mod)
                     except ZeroDivisionError:
                         with pytest.raises(ZeroDivisionError):
                             powmod(f, -n, mod)
                     else:
-                        assert powmod(f, -n, mod) == (inverse ** n) % mod
+                        assert powmod(f, -n, mod) == power(inverse, n) % mod
         with pytest.raises(ZeroDivisionError):
             powmod(Poly.t(field), 3, Poly.zero(field))
 

@@ -27,6 +27,7 @@ from ffsym.places import Place, RatFunc, random_ratfunc
 from ffsym.polyring import Poly, factor
 from ffsym.quaternion import delta, jacobson_member, r_tilde_member, t_member
 from ffsym.symbols import local_symbol
+from powers import power
 
 
 def _random_sigma(field, rng):
@@ -44,7 +45,7 @@ def _homogenize(f, sigma, n):
     top, bottom = Poly(field, (be, al)), Poly(field, (de, ga))
     out = Poly.zero(field)
     for i, c in enumerate(f.coeffs):
-        out = out + (top ** i * bottom ** (n - i)).scale(c)
+        out = out + (power(top, i) * power(bottom, n - i)).scale(c)
     return out
 
 
