@@ -229,15 +229,17 @@ def jacobson_member(x: RatFunc, a: RatFunc, b: RatFunc) -> bool:
 def r_tilde_member(x: RatFunc, a: RatFunc, b: RatFunc) -> bool:
     """x in the union of valuation rings over Delta: 0, or v >= 0 somewhere.
 
-    Decided at infinity first: a nonzero x with v_inf(x) >= 0 belongs when
-    (a, b)_inf = -1, i.e. when inf is in Delta, and that symbol needs only
-    the degrees and leading coefficients, so no divisor is factored.  Every
+    Decided at infinity first, when (a, b)_inf = -1, i.e. when inf is in
+    Delta; that symbol needs only the degrees and leading coefficients, so
+    no divisor is factored.  A nonzero x with v_inf(x) >= 0 then belongs.
+    So does a nonzero polynomial x: |Delta| is even by the product formula,
+    so inf in Delta forces a finite place of Delta, where v(x) >= 0.  Every
     other x is tested over the whole of Delta.  Equivalent dual form:
     x = 0 or 1/x lies outside the Jacobson radical.
     """
     _check_pair(a, b)
     inf = Place.infinite(a.field)
-    if (not x.is_zero and valuation(x, inf) >= 0
+    if (not x.is_zero and (x.den.is_constant or valuation(x, inf) >= 0)
             and _ramified_at(a, b, inf, valuation(a, inf), valuation(b, inf))):
         return True
     d = _require_delta(a, b)

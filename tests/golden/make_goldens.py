@@ -103,6 +103,13 @@ CASES = {
     "membership_7_inf_fraction": ["membership", "--q", "7", "--target", "AorAinf",
                                   "--x", "t+1/t^2+3"],
     "membership_13_constant": ["membership", "--q", "13", "--target", "A", "--x", "5"],
+    # a polynomial member over F_9 (q = 1 mod 4): R~ accepts it against each
+    # sampled pair of D by the product formula; against an empty Delta a
+    # polynomial still raises (exit 2, empty stdout)
+    "ext_membership_3e2_poly": ["membership", "--q", "3^2", "--target", "A",
+                                "--x", "t^2+[0,1]*t+1", "--samples", "6"],
+    "member_5_empty_delta": ["member", "--q", "5", "--set", "Rtilde", "--x", "t^2+1",
+                             "--a", "1", "--b", "t"],
     # the Frobenius walk on split and irreducible quadratics and on quartics,
     # above the sieve cap, over a prime field and an extension field
     "hilbert_257_quadratics": ["hilbert", "--q", "257", "--alpha", "t^2+3*t+2/t^2+3",

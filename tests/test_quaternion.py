@@ -362,13 +362,14 @@ def test_r_tilde_matches_valuations_over_delta(p, e):
     field = field_make(p, e)
     rng = Random(f"r-tilde:{p}^{e}")
     pairs, xs = _r_tilde_cases(field, rng)
+    inf = Place.infinite(field)
     seen = Counter()
     for a, b in pairs:
         ram = delta(a, b).places
         # for the product M of Delta's finite primes, 1/M is integral at inf
         # only and t + 1/M nowhere on Delta
         m = Poly.one(field)
-        for place in ram - {Place.infinite(field)}:
+        for place in ram - {inf}:
             m = m * place.prime
         extra = [RatFunc(Poly.one(field), m), RatFunc(m * Poly.t(field) + Poly.one(field), m)]
         for x in xs + extra:
@@ -379,8 +380,12 @@ def test_r_tilde_matches_valuations_over_delta(p, e):
                 continue
             expected = x.is_zero or any(valuation(x, v) >= 0 for v in ram)
             assert r_tilde_member(x, a, b) == expected, (x, a, b)
-            seen[expected, x.is_zero or valuation(x, Place.infinite(field)) >= 0] += 1
-    assert seen["empty"] and all(seen[key] for key in product((True, False), repeat=2))
+            seen[expected, x.is_zero or valuation(x, inf) >= 0] += 1
+            # a nonconstant polynomial against a pair with inf in Delta: the
+            # case accepted at inf by the product formula
+            seen["poly"] += x.den.is_constant and not x.num.is_constant and inf in ram
+    assert seen["empty"] and seen["poly"]
+    assert all(seen[key] for key in product((True, False), repeat=2))
 
 
 def test_r_tilde_argument_checks():
@@ -400,30 +405,53 @@ def test_r_tilde_argument_checks():
 
 @pytest.mark.parametrize("p,e", [(3, 1), (7, 1), (3, 2), (257, 1)])
 def test_r_tilde_at_infinity_factors_nothing(p, e):
-    # against a pair of D, inf is in Delta, so a member integral at inf is
-    # accepted from degrees and leading coefficients alone: no divisor is
-    # built and Delta is not computed; a polynomial member (v_inf < 0) still
-    # takes the whole of Delta
+    # against a pair of D, inf is in Delta, so a member integral at inf or a
+    # polynomial member (Delta has a finite place too, by the product
+    # formula) is accepted from degrees and leading coefficients alone: no
+    # divisor is built and Delta is not computed; x = 0, a fraction with a
+    # finite pole and v_inf < 0, and a polynomial against a pair with inf
+    # outside Delta still take the whole of Delta
     field = field_make(p, e)
     rng = Random(f"r-tilde-cost:{p}^{e}")
     eps = smallest_nonsquare(field)
     pairs = [(a, b) for a, b, _ in sample_d_pairs(field, eps, 6, rng)]
     at_inf = [RatFunc.constant(field, eps), parse_ratfunc(field, "t+1/t^2+2"),
               parse_ratfunc(field, "2*t^2+1/t^2+t+1")]
+    t = Poly.t(field)
+
+    def fall_through(x, a, b):
+        places.divisor.cache_clear()
+        quaternion._delta_cached.cache_clear()
+        verdict = r_tilde_member(x, a, b)
+        assert quaternion._delta_cached.cache_info().misses == 1
+        assert places.divisor.cache_info().misses >= 1
+        assert verdict == (x.is_zero or any(valuation(x, v) >= 0 for v in delta(a, b).places))
+        return verdict
+
+    polys = []
     for a, b in pairs:
-        for x in at_inf:
+        poly = RatFunc.from_poly(random_poly(field, rng, 3, nonzero=True) * t)
+        polys.append(poly)
+        for x in (*at_inf, poly):
             places.divisor.cache_clear()
             quaternion._delta_cached.cache_clear()
             assert r_tilde_member(x, a, b)
             info = places.divisor.cache_info()
             assert info.hits + info.misses == 0
             assert quaternion._delta_cached.cache_info().misses == 0
-        places.divisor.cache_clear()
-        quaternion._delta_cached.cache_clear()
-        poly = RatFunc.from_poly(random_poly(field, rng, 3, nonzero=True) * Poly.t(field))
-        assert r_tilde_member(poly, a, b)
-        assert quaternion._delta_cached.cache_info().misses == 1
-        assert places.divisor.cache_info().misses >= 1
+        # x = 0 is a member, decided over the whole of Delta too
+        assert fall_through(RatFunc.constant(field, 0), a, b)
+        # for the product M of Delta's finite primes, (t M + 1)/M has its
+        # poles at inf and at every finite place of Delta, so it is no member
+        m = Poly.one(field)
+        for place in delta(a, b).places - {Place.infinite(field)}:
+            m = m * place.prime
+        assert not fall_through(RatFunc(t * m + Poly.one(field), m), a, b)
+    # (t^2 + t, eps) ramifies exactly at t and t + 1
+    a, b = RatFunc.from_poly(t * t + t), RatFunc.constant(field, eps)
+    assert delta(a, b).places == {Place(field, t), Place(field, t + Poly.one(field))}
+    for x in polys:
+        assert fall_through(x, a, b)
 
 
 def test_s_plus_s_lands_in_t():
