@@ -11,13 +11,17 @@ pair whose ramification set is {P, inf} for a prime P of the denominator.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from random import Random
 from typing import NamedTuple, Sequence
 
 from .dirichlet import find_prime_in_ap
 from .gf import Field, FieldElem, smallest_nonsquare
 from .places import Place, RatFunc, divisor, square_class_inf, valuation
-from .polyring import Poly, _random_codes, _random_poly_codes, power_character, random_irreducible
+from .polyring import (
+    SIEVE_CAP, Poly, _random_codes, _random_poly_codes, character_table, is_irreducible, poly_index,
+    power_character, random_irreducible,
+)
 from .quaternion import RamificationSet, delta, r_tilde_member
 
 DEFAULT_WITNESS_DEGREE_SLACK = 6
@@ -111,13 +115,39 @@ class WitnessPair(NamedTuple):
         return delta(self.a, self.b)
 
 
-def _nonsquare_residue(prime: Poly, rng: Random) -> Poly:
+# 1 where the quadratic character of a residue mod P is -1, one byte per
+# residue in enumerate_residues order: at most SIEVE_CAP bytes (4 KiB) a
+# prime, so the 256 most recent primes hold at most 1 MiB
+@lru_cache(maxsize=256)
+def _nonsquare_table(prime: Poly) -> bytes:
+    neg_one = prime.field.neg_one_code
+    return bytes(c == neg_one for c in character_table(prime))  # raises for a reducible P
+
+
+def _nonsquare_residues(prime: Poly, rng: Random, count: int) -> list[Poly]:
+    """count residues r mod P with power_character(r, P) = -1, each drawn
+    as deg P codes below q until one is a nonsquare.  When q^deg P <=
+    SIEVE_CAP a draw reads the prime's cached character table, else it
+    takes one norm.  A reducible P raises ValueError before any draw (mod a
+    square the draws would never end: a Jacobi symbol there is never -1)."""
     field = prime.field
-    d = len(prime.coeffs) - 1
-    while True:
-        r = Poly(field, _random_codes(rng, field.q, d))
-        if power_character(r, prime) == field.neg_one_code:  # 0 when r is zero
-            return r
+    q, d = field.q, len(prime.coeffs) - 1
+    if q ** d <= SIEVE_CAP:
+        table = _nonsquare_table(prime)
+    elif is_irreducible(prime):
+        table = None
+    else:
+        raise ValueError("nonsquare residues need an irreducible modulus")
+    residues = []
+    while len(residues) < count:
+        codes = _random_codes(rng, q, d)
+        if table is None:
+            r = Poly(field, codes)
+            if power_character(r, prime) == field.neg_one_code:  # 0 when r is zero
+                residues.append(r)
+        elif table[poly_index(codes, q, d)]:
+            residues.append(Poly(field, codes))
+    return residues
 
 
 def witness_pair(
@@ -148,7 +178,7 @@ def witness_pair(
         residues = [Poly.one(field)]
         start_parity = 0  # even companion degrees
     else:
-        residues = [_nonsquare_residue(prime, rng) for _ in range(4)]
+        residues = _nonsquare_residues(prime, rng, 4)
         start_parity = 1
 
     inf = Place.infinite(field)

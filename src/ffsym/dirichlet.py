@@ -69,24 +69,34 @@ def find_prime_in_ap(f: Poly, c: Poly, k: int, rng: Random | None = None) -> Pol
     k - deg f first (given an rng), then over every such g (g = 0 alone
     when k < deg f); None only after that sweep finds nothing.  A constant
     f makes each candidate g itself, so for k >= 2 the sweep passes over
-    the g with constant term 0, which t divides.
+    the g with constant term 0, which t divides.  Each candidate is formed
+    on code lists and handed to is_irreducible as one Poly.
     """
     APQuery(f, c, k)  # rejects k < 0, a zero f and a c not coprime to f
     field = f.field
     f = f.monic()
     c_red = c % f
     deg_g = k - (len(f.coeffs) - 1)
-    probes = 64 if rng is not None and deg_g >= 0 else 0
-    draws = (Poly(field, _random_poly_codes(rng, field.q, deg_g, monic=True, exact_deg=True),
-                  trusted=True) for _ in range(probes))
-    if deg_g < 0:
-        scan = [Poly.zero(field)]
-    else:
-        scan = enumerate_monic(field, deg_g, unit_constant=f.is_constant and k >= 2)
+    if deg_g < 0:  # g = 0 alone: the candidate is c_red
+        found = len(c_red.coeffs) - 1 == k >= 1 and c_red.is_monic and is_irreducible(c_red)
+        return c_red if found else None
+    if k == 0:  # the constant 1 alone, and a monic draw of degree 0 takes no bits
+        return None
+    # f g is monic of degree k > deg c_red, so every candidate is monic of degree k
+    probes = 64 if rng is not None else 0
+    draws = (_random_poly_codes(rng, field.q, deg_g, monic=True, exact_deg=True)
+             for _ in range(probes))
+    scan = (g.coeffs for g in enumerate_monic(field, deg_g, unit_constant=f.is_constant and k >= 2))
+    p, add, low = field.p, field.add, c_red.coeffs
     for g in itertools.chain(draws, scan):
-        cand = c_red + f * g
-        if len(cand.coeffs) - 1 == k >= 1 and cand.is_monic and is_irreducible(cand):
-            return cand
+        cand = _mul_codes(f.coeffs, g, field)
+        for i, b in enumerate(low):
+            cand[i] = add(cand[i], b)
+        if field.is_prime_field:  # the product's entries are unreduced ints
+            cand = [a % p for a in cand]
+        prime = Poly(field, cand, trusted=True)
+        if is_irreducible(prime):
+            return prime
     return None
 
 

@@ -415,6 +415,8 @@ def character_table(prime: Poly, n: int = 2) -> list[int]:
 # most 8,191 (F_2 to degree 12), 64 KiB, built in 0.08 s; F_13 to degree 3
 # takes 0.005 s and F_5 to degree 5 0.013 s under Python 3.11 on a 2-vCPU
 # Xeon host.  A lookup then takes 4-16 us where the walk takes 50-300 us.
+# It also bounds definability's per-prime nonsquare tables: one byte per
+# residue mod P, at most 4 KiB, read where q^deg P <= SIEVE_CAP.
 SIEVE_CAP = 4096
 
 

@@ -98,6 +98,13 @@ CASES = {
                           "--samples", "8"],
     "witness_13_t2p2": ["witness", "--q", "13", "--prime", "t^2+2"],
     "ap_primes_257_k3": ["ap-primes", "--q", "257", "--f", "t+3", "--c", "5", "--k", "3"],
+    # nonsquare residues read off a prime's character table over F_9, and
+    # drawn one norm each above polyring.SIEVE_CAP (257^2); prime candidates
+    # formed with the extension field's addition
+    "ext_witness_3e2_t2": ["witness", "--q", "3^2", "--prime", "t^2+t+[0,1]"],
+    "witness_257_t2p3": ["witness", "--q", "257", "--prime", "t^2+3"],
+    "ext_ap_primes_3e2_k4": ["ap-primes", "--q", "3^2", "--f", "t^2+[0,1]", "--c", "t",
+                             "--k", "4"],
     # members integral at infinity over prime fields: every sampled pair of D
     # ramifies at infinity, so R~ accepts each of them there
     "membership_7_inf_fraction": ["membership", "--q", "7", "--target", "AorAinf",

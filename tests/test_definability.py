@@ -1,9 +1,12 @@
+import time
 from random import Random
 
 import pytest
 
+from ffsym import definability, polyring
 from ffsym.definability import (
     DEFAULT_WITNESS_DEGREE_SLACK,
+    _nonsquare_residues,
     InfSquareClass,
     gamma_check,
     inf_square_class,
@@ -14,9 +17,11 @@ from ffsym.definability import (
     witness_pair,
 )
 from ffsym.dirichlet import ap_prime_counts, unit_residues
-from ffsym.gf import FieldElem, field_make, smallest_nonsquare
+from ffsym.gf import FieldElem, field_make, parse_field_spec, smallest_nonsquare
 from ffsym.places import Place, RatFunc, parse_ratfunc, random_ratfunc, valuation
-from ffsym.polyring import Poly, gcd, monic_irreducibles, parse_poly
+from ffsym.polyring import (
+    SIEVE_CAP, Poly, gcd, monic_irreducibles, parse_poly, power_character, random_irreducible,
+)
 from ffsym.quaternion import delta
 from ffsym.symbols import local_symbol
 from randrange_stream import randrange_random_irreducible, randrange_random_ratfunc
@@ -292,3 +297,85 @@ def test_witness_pair_deterministic_for_seed():
     first = witness_pair(place, eps, Random("fixed"))
     second = witness_pair(place, eps, Random("fixed"))
     assert first.a == second.a and first.b == second.b
+
+
+def _reference_nonsquare_residue(prime, rng):
+    # one residue as drawn before the character tables: deg P range draws
+    # below q, one norm each, until the quadratic character is -1
+    field = prime.field
+    while True:
+        r = Poly(field, [rng.randrange(field.q) for _ in range(prime.degree)])
+        if power_character(r, prime) == field.neg_one_code:
+            return r
+
+
+@pytest.mark.parametrize("q, d", [
+    ("7", 2), ("3^2", 2), ("13", 2), ("3", 4),  # q^d <= SIEVE_CAP: the character table
+    ("257", 2), ("3", 8),                        # above it: one norm a draw
+])
+def test_nonsquare_residues_keep_the_stream(q, d):
+    field = parse_field_spec(q)
+    rng = Random(f"nonsquare:{q}:{d}")
+    for _ in range(3):
+        prime = random_irreducible(field, rng, d)
+        seed = rng.getrandbits(64)
+        ours, ref = Random(seed), Random(seed)
+        residues = _nonsquare_residues(prime, ours, 6)
+        assert residues == [_reference_nonsquare_residue(prime, ref) for _ in range(6)]
+        assert ours.getstate() == ref.getstate()
+
+
+def _count_power_characters(monkeypatch):
+    # power_character as called by definability's draws and by
+    # polyring.character_table, which reads the module global
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return power_character(*args)
+
+    for module in (definability, polyring):
+        monkeypatch.setattr(module, "power_character", counting)
+    return calls
+
+
+def test_nonsquare_residues_read_one_norm_a_prime_below_the_cap(monkeypatch):
+    # the F_7 table takes one norm, the zeta of character_table, and later
+    # draws for the same prime take none
+    calls = _count_power_characters(monkeypatch)
+    prime = parse_poly(field_make(7), "t^2+1")
+    _nonsquare_residues(prime, Random(1), 30)
+    assert len(calls) == 1
+    _nonsquare_residues(prime, Random(2), 30)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q, prime_text", [("257", "t^2+3"), ("3", "t^8+t^3+2")])
+def test_nonsquare_residues_take_one_norm_a_draw_above_the_cap(q, prime_text, monkeypatch):
+    field = parse_field_spec(q)
+    prime = parse_poly(field, prime_text)
+    assert field.q ** prime.degree > SIEVE_CAP
+    calls = _count_power_characters(monkeypatch)
+    draws = []
+
+    def counting_codes(rng, n, count):
+        draws.append(count)
+        return polyring._random_codes(rng, n, count)
+
+    monkeypatch.setattr(definability, "_random_codes", counting_codes)
+    _nonsquare_residues(prime, Random(5), 4)
+    assert len(draws) >= 4 and len(calls) == len(draws)
+
+
+@pytest.mark.parametrize("q", [3, 257])
+def test_witness_pair_refuses_a_square_modulus_before_any_draw(q):
+    # (t + 1)^2 through the unchecked Place constructor: no residue is a
+    # nonsquare mod a square, so the draws would never end
+    field = field_make(q)
+    rng = Random(1)
+    state = rng.getstate()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="irreducible"):
+        witness_pair(Place(field, parse_poly(field, "t^2+2*t+1")), None, rng)
+    assert time.perf_counter() - start < 1.0
+    assert rng.getstate() == state

@@ -1,10 +1,11 @@
 import time
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 from random import Random
 
 import pytest
 
+from ffsym import dirichlet
 from ffsym.dirichlet import (
     APQuery,
     _mobius,
@@ -258,6 +259,64 @@ def test_find_prime_matches_exact_counts(q, f_text):
                 assert out.is_monic and out.degree == k and is_irreducible(out)
                 assert ((out - c) % f).is_zero
 
+
+
+def _reference_find_prime_in_ap(f, c, k, rng, is_prime):
+    # the search on Poly arithmetic: every candidate c_red + monic(f) g, the
+    # 64 seeded probes first, then the scan
+    field = f.field
+    f = f.monic()
+    c_red = c % f
+    deg_g = k - f.degree
+    probes = 64 if rng is not None and deg_g >= 0 else 0
+    draws = (random_poly(field, rng, deg_g, monic=True, exact_deg=True) for _ in range(probes))
+    if deg_g < 0:
+        scan = [Poly.zero(field)]
+    else:
+        scan = enumerate_monic(field, deg_g, unit_constant=f.is_constant and k >= 2)
+    for g in chain(draws, scan):
+        cand = c_red + f * g
+        if cand.degree == k >= 1 and cand.is_monic and is_prime(cand):
+            return cand
+    return None
+
+
+@pytest.mark.parametrize("q, moduli", [
+    ("3", ["2", "t+1", "2*t^2+t+1"]),
+    ("7", ["3", "t+5", "3*t^2+4*t+6"]),
+    ("257", ["5", "t+100", "7*t^2+3*t+2"]),
+    ("3^2", ["[0,1]", "t+[1,1]", "[0,1]*t^2+t+[2,1]"]),
+    ("3^5", ["[0,1]", "t+[1,0,2]", "[2,1]*t^2+[0,0,1]*t+1"]),
+])
+def test_find_prime_keeps_the_reference_search(q, moduli, monkeypatch):
+    # the returned prime, the rng's end state and the number of
+    # is_irreducible calls, for constant, linear and non-monic quadratic
+    # moduli, every k from 0 to deg f + 3, with and without an rng
+    field = parse_field_spec(q)
+    ours, ref = [], []
+
+    def counting(calls):
+        def is_prime(g):
+            calls.append(g)
+            return is_irreducible(g)
+        return is_prime
+
+    monkeypatch.setattr(dirichlet, "is_irreducible", counting(ours))
+    rng = Random(f"find-prime-reference:{q}")
+    for f_text in moduli:
+        f = parse_poly(field, f_text)
+        residues = [random_poly(field, rng, max(f.degree - 1, 0), exact_deg=True) for _ in range(4)]
+        for c in [r for r in residues if gcd(r, f).degree == 0][:2]:
+            for k in range(0, f.degree + 4):
+                for seeded in (False, True):
+                    seed = rng.getrandbits(64)
+                    a, b = (Random(seed), Random(seed)) if seeded else (None, None)
+                    out = find_prime_in_ap(f, c, k, a)
+                    assert out == _reference_find_prime_in_ap(f, c, k, b, counting(ref))
+                    assert len(ours) == len(ref)
+                    if seeded:
+                        assert a.getstate() == b.getstate()
+    assert ours and all(g.degree >= 1 for g in ours)
 
 def test_dirichlet_small_degrees_f13():
     # a prime exists in every unit class mod a linear modulus for k = 3..6
