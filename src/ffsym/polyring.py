@@ -16,7 +16,7 @@ from functools import lru_cache
 from random import Random
 from typing import Iterator, Sequence, Union
 
-from .gf import Field, FieldElem
+from .gf import Field, FieldElem, field_make
 
 NEG_INF = float("-inf")
 
@@ -285,7 +285,7 @@ def powmod(f: Poly, n: int, mod: Poly) -> Poly:
     f._check(mod)
     field = f.field
     d = len(mod.coeffs) - 1
-    # the Frobenius walk and character_table hand in residues already reduced
+    # the Frobenius walk hands in residues already reduced
     base = list(f.coeffs if len(f.coeffs) <= d else (f % mod).coeffs)
     if d <= 1:  # every residue is a constant
         code = field.pow_(base[0] if base else 0, n)
@@ -312,6 +312,14 @@ def _require_root_order(field: Field, n: int) -> None:
         raise ValueError(f"n = {n} does not divide q - 1 = {field.q - 1}")
 
 
+def _require_character_modulus(prime: Poly, n: int) -> None:
+    """ValueError unless n >= 2 divides q - 1 and P is monic of positive
+    degree: the arguments of an n-th power character mod P."""
+    _require_root_order(prime.field, n)
+    if not prime.is_monic or len(prime.coeffs) < 2:
+        raise ValueError("the modulus must be monic of positive degree")
+
+
 def power_character(r: Poly, prime: Poly, n: int = 2) -> int:
     """The code of r^((q^d - 1)/n) mod P for a monic irreducible P of
     degree d, or 0 when P divides r: the n-th power character of r.
@@ -324,9 +332,7 @@ def power_character(r: Poly, prime: Poly, n: int = 2) -> int:
     positive degree.
     """
     field = r.field
-    _require_root_order(field, n)
-    if not prime.is_monic or len(prime.coeffs) < 2:
-        raise ValueError("the modulus must be monic of positive degree")
+    _require_character_modulus(prime, n)
     a = list(prime.coeffs)
     b = list(r.coeffs)
     if len(b) >= len(a):
@@ -365,46 +371,97 @@ def poly_index(coeffs: Sequence[int], q: int, width: int) -> int:
     return idx
 
 
+@lru_cache(maxsize=None)
+def _root_map(field: Field, d: int) -> tuple[Field, list[int], dict[tuple[int, ...], int]]:
+    """(E, embed, roots) for the monic primes of degree d over F_q: E =
+    F_{q^d}, embed[c] the code in E of the element of F_q with code c, and
+    roots[P.coeffs] the code of one root of P in E.
+
+    For e > 1, F_q = F_p(y) goes into E by y -> beta, the first root of the
+    field's modulus in E.  The Frobenius orbits {a, a^q, ..., a^(q^(d-1))}
+    of length d are the root sets of the primes of degree d, so each orbit
+    gives its prime as the product of the t - a^(q^i), expanded in E and
+    read back through the inverse of embed; a is the orbit's first code.
+    """
+    p, q = field.p, field.q
+    big = field_make(p, field.e * d)
+    add, mul, neg = big.add, big.mul, big.neg
+    beta = 0  # a prime field's codes are all below p
+    if field.e > 1:
+        beta = next(b for b in range(big.q) if not _horner_codes(field.modulus, b, big))
+    embed = [0]
+    for code in range(1, q):  # c0 + c1 y + ... = c0 + beta (c1 + c2 y + ...)
+        embed.append(add(code % p, mul(beta, embed[code // p])))
+    pull = {v: c for c, v in enumerate(embed)}
+    roots: dict[tuple[int, ...], int] = {}
+    seen = bytearray(big.q)
+    for a in range(big.q):
+        if seen[a]:
+            continue
+        orbit, x = [a], big.pow_(a, q)
+        while x != a:
+            orbit.append(x)
+            x = big.pow_(x, q)
+        if len(orbit) == d:
+            prod = [big.one_code]
+            for x in orbit:  # prod (t - x): coefficient k of prod t, minus x times coefficient k
+                m = neg(x)
+                prod = [add(lo, mul(m, hi)) for lo, hi in zip([0] + prod, prod + [0])]
+            roots[tuple(pull[c] for c in prod)] = a
+        for x in orbit:
+            seen[x] = 1
+    return big, embed, roots
+
+
+def _horner_codes(coeffs: Sequence[int], x: int, big: Field) -> int:
+    # the value at x in big of a polynomial whose codes are codes of big
+    value = 0
+    for c in reversed(coeffs):
+        value = big.add(big.mul(value, x), c)
+    return value
+
+
+def _horner_step(values: list[int], alpha: int, embed: list[int], big: Field) -> list[int]:
+    """The values c + alpha v, for the constants c in code order and then
+    the v in values: from the values at alpha of a block of polynomials s
+    (in enumerate_residues or enumerate_monic order) the values of the
+    block of the c + t s, in the same order one degree up."""
+    mul, add = big.mul, big.add
+    shifted = [mul(alpha, v) for v in values]
+    return [add(c, s) for c in embed for s in shifted]
+
+
+def _residue_values(prime: Poly) -> tuple[Field, list[int], int, list[int]]:
+    """(E, embed, alpha, values): alpha is the root of P in E = F_{q^d} that
+    _root_map gives, and values[i] = r(alpha) for the residue r of index i
+    in enumerate_residues order, a bijection onto E.  ValueError for a P
+    that is not irreducible."""
+    d = len(prime.coeffs) - 1
+    big, embed, roots = _root_map(prime.field, d)
+    alpha = roots.get(prime.coeffs)
+    if alpha is None:
+        raise ValueError("the modulus is not irreducible: no element of F_{q^d} is its root")
+    values = [0]
+    for _ in range(d):
+        values = _horner_step(values, alpha, embed, big)
+    return big, embed, alpha, values
+
+
 def character_table(prime: Poly, n: int = 2) -> list[int]:
     """power_character(r, prime, n) for every residue r mod P, in
     enumerate_residues order.
 
-    The units mod P are cyclic of order q^d - 1, and F_q^* is their one
-    subgroup of order q - 1.  For the first residue g whose powers first
-    reach a constant at g^M, M = (q^d - 1)/(q - 1), every unit is exactly
-    one c g^i (c in F_q^*, i < M), with character zeta^i chi(c):
-    zeta = power_character(g, P, n), one norm, and chi(c) = c^((q^d - 1)/n).
-    So the table walks the M cosets of the constants, one multiplication
-    mod P each, and scales each walked residue by every constant.  Modulo a
-    reducible P the units number fewer than q^d - 1, so no walk reaches M.
+    For a root alpha of P in E = F_{q^d}, r mod P -> r(alpha) is an
+    isomorphism F_q[t]/P -> E, so r^((q^d - 1)/n) mod P is the element
+    r(alpha)^((q^d - 1)/n) of F_q, read back through the embedding.
+    ValueError as for power_character, for a P that is not irreducible and
+    for q^d above gf.MAX_Q.
     """
-    field = prime.field
-    q, d = field.q, len(prime.coeffs) - 1
-    m = (q ** d - 1) // (q - 1)
-    one, mul = field.one_code, field.mul
-    red = _reduction(prime)
-    for g in enumerate_residues(field, d):
-        # g^0 and g^1 padded to the d digits that the fold leaves on g^i
-        walk, x = [[one] + [0] * (d - 1)], list(g.coeffs) + [0] * (d - len(g.coeffs))
-        while any(x[1:]) and len(walk) <= m:  # only a reducible P walks past g^M
-            walk.append(x)
-            x = _reduce_codes(_mul_codes(x, g.coeffs, field), red, field)
-        if len(walk) == m and x[0]:
-            break
-    else:
-        raise ValueError("no residue generates the units mod P modulo F_q^*: P is not irreducible")
-    zeta = power_character(g, prime, n)
-    scales = [(c, field.pow_(c, (q ** d - 1) // n)) for c in range(1, q)]
-    table = [0] * q ** d
-    z = one
-    for x in walk:
-        for c, w in scales:
-            idx = 0  # poly_index of c x, which has all d digits
-            for a in x:
-                idx = idx * q + mul(c, a)
-            table[idx] = mul(z, w)
-        z = mul(z, zeta)
-    return table
+    _require_character_modulus(prime, n)
+    big, embed, _, values = _residue_values(prime)
+    pull = {v: c for c, v in enumerate(embed)}
+    power = (big.q - 1) // n
+    return [pull[big.pow_(v, power)] for v in values]
 
 
 # --- irreducibility and factorization ---

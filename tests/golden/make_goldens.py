@@ -17,7 +17,7 @@ byte.  For the same reason
 under ``symbols.MAX_SWEEP_PAIRS``), stays out of the manifest and is
 compared in CI, and so does ``reciprocity_sweep_7_3_n3.json``, the stdout of
 ``ffsym reciprocity-sweep --q 7 --degree-max 3 --n 3 --json`` (the same
-sweep with cubic characters, about 0.5 s).
+sweep with cubic characters, about 0.15 s from the shell).
 """
 
 from __future__ import annotations
@@ -141,6 +141,11 @@ CASES = {
                         "--a", "t", "--b", "2"],
     "witness_5_epsilon": ["witness", "--q", "5", "--prime", "t+1", "--epsilon", "3"],
     "delta_3_pth_root": ["delta", "--q", "3", "--a", "t^9+1", "--b", "t"],
+    # character tables read at a root of each prime: F_4 embedded in F_{2^8}
+    # for the quartic primes, and roots up to F_{3^6} over a prime field
+    "ext_reciprocity_sweep_2e2_d4_n3": ["reciprocity-sweep", "--q", "2^2", "--degree-max", "4",
+                                        "--n", "3"],
+    "reciprocity_sweep_3_d6": ["reciprocity-sweep", "--q", "3", "--degree-max", "6"],
 }
 
 

@@ -664,12 +664,12 @@ def test_character_table_matches_power_character(q, e, orders):
 @pytest.mark.parametrize("q, e", [(3, 1), (7, 1), (31, 1), (2, 2), (3, 2)],
                          ids=["F3", "F7", "F31", "F4", "F9"])
 def test_character_table_passes_over_residues_that_do_not_generate(q, e):
-    # The table's walk stops a candidate g at its first constant power g^i.
-    # It rejects g when i < M = (q^d - 1)/(q - 1) ("early"), and accepts it
-    # at i = M even when that constant does not generate F_q^* ("late"), so
-    # g need not generate the units.  A powmod order oracle finds, among the
-    # primes of degree 2 and 3 with q^d <= 2,500, a prime of each kind for
-    # the first candidate, the first nonzero residue; its table must be right.
+    # Primes on which a table walked from the powers of a first guess g, the
+    # first nonzero residue, would go wrong: g^i turns constant before
+    # i = M = (q^d - 1)/(q - 1) ("early"), or at M with a constant that does
+    # not generate F_q^* ("late").  A powmod order oracle finds a prime of
+    # each kind among those of degree 2 and 3 with q^d <= 2,500; on each the
+    # table must equal the norms of power_character for every order n.
     field = field_make(q, e)
     one = Poly.one(field)
     found = {}
@@ -693,11 +693,63 @@ def test_character_table_passes_over_residues_that_do_not_generate(q, e):
 
 
 def test_character_table_rejects_a_reducible_modulus():
-    # mod t^2 + t = t (t + 1) over F_3 the powers of t never turn constant
-    # (t^2 = 2t), so the walk needs its bound of M + 1 steps to end
+    # a reducible P has no root of degree deg P: no Frobenius orbit of
+    # F_{q^d} expands to it
     for mod in ("t^2+t", "t^2"):
         with pytest.raises(ValueError, match="not irreducible"):
             character_table(parse_poly(F3, mod), 2)
+
+
+@pytest.mark.parametrize("mod, n, match", [("t^2+2", 1, "must be >= 2"),
+                                            ("t^2+2", 3, "does not divide"),
+                                            ("2*t^2+1", 2, "monic of positive degree"),
+                                            ("1", 2, "monic of positive degree")],
+                         ids=["order1", "order3", "not_monic", "constant"])
+def test_character_table_checks_arguments_as_power_character(mod, n, match, monkeypatch):
+    # the same ValueError as power_character, before any root is looked up
+    def no_root_map(field, d):
+        raise AssertionError("root map reached")
+
+    monkeypatch.setattr(polyring, "_root_map", no_root_map)
+    prime = parse_poly(F5, mod)
+    with pytest.raises(ValueError, match=match) as table_error:
+        character_table(prime, n)
+    with pytest.raises(ValueError) as norm_error:
+        power_character(Poly.t(F5), prime, n)
+    assert str(table_error.value) == str(norm_error.value)
+
+
+def _add_slow(field, a, b):
+    # digit-wise sum of two codes, without the log and Zech tables
+    return field._encode([(x + y) % field.p for x, y in zip(field._decode(a), field._decode(b))])
+
+
+@pytest.mark.parametrize("p, e", [(3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3), (3, 2),
+                                  (2, 4), (5, 2)],
+                         ids=["F3", "F5", "F7", "F13", "F4", "F8", "F9", "F16", "F25"])
+def test_root_map_finds_a_root_of_every_prime(p, e):
+    # at every d with q^d <= 2,500: one root per monic prime of degree d,
+    # pi_q(q, d) of them, each a zero of its prime by the reference
+    # multiplication, and an embedding of F_q that keeps sums and products
+    field = field_make(p, e)
+    q = field.q
+    d = 1
+    while q ** d <= 2500:
+        big, embed, roots = polyring._root_map(field, d)
+        assert big.q == q ** d
+        assert len(set(embed)) == q
+        for a in range(q):
+            for b in range(q):
+                assert embed[field.add(a, b)] == _add_slow(big, embed[a], embed[b])
+                assert embed[field.mul(a, b)] == big._mul_slow(embed[a], embed[b])
+        assert len(roots) == pi_q(q, d)
+        assert set(roots) == {f.coeffs for f in monic_irreducibles(field, d)}
+        for coeffs, alpha in roots.items():
+            value = 0
+            for c in reversed(coeffs):
+                value = _add_slow(big, big._mul_slow(value, alpha), embed[c])
+            assert value == 0
+        d += 1
 
 
 def test_powmod_matches_naive():

@@ -231,12 +231,16 @@ def test_sweep_matches_direct_check():
 
 
 def test_residue_walk_matches_division():
-    # the residue of every monic mod every prime, walked in sieve order
-    for field, max_deg in ((F3, 4), (F7, 2), (field_make(3, 2), 2), (field_make(2, 3), 2)):
+    # the residue of every monic mod every prime, walked in sieve order; the
+    # primes include t, whose root is 0
+    for field, max_deg in ((F3, 4), (F7, 2), (field_make(3, 2), 2), (field_make(2, 3), 2),
+                           (field_make(5), 3), (field_make(2, 2), 3)):
         sieve = MonicSieve(field)
         sieve.grow(max_deg)
         monics = [sieve.monic(h) for h in range(len(sieve.least))]
-        for prime in (f for h, f in enumerate(monics) if h and sieve.least[h] == h):
+        primes = [f for h, f in enumerate(monics) if h and sieve.least[h] == h]
+        assert primes[0] == Poly.t(field)
+        for prime in primes:
             d = len(prime.coeffs) - 1
             assert _residue_walk(prime, max_deg) == [
                 poly_index((f % prime).coeffs, field.q, d) for f in monics]
@@ -387,18 +391,27 @@ def test_characters_raise_no_power(p, e, monkeypatch):
 @pytest.mark.parametrize("p, e, max_deg, n", [(5, 1, 3, 2), (3, 2, 2, 8), (2, 2, 2, 3)],
                          ids=["F5", "F9", "F4"])
 def test_sweep_calls_no_powmod(p, e, max_deg, n, monkeypatch):
-    # the sweep's precompute is the sieve and one character table per prime,
-    # whose coset walk certifies its own generator: no powmod order test
+    # the sweep's precompute is the sieve and, per prime, its character table
+    # and residue walk, both evaluated at a root of the prime in F_{q^d}:
+    # no powmod and no norm
     calls = []
-    real = polyring.powmod
+    norms = []
+    real_powmod, real_norm = polyring.powmod, polyring.power_character
 
     def counting_powmod(f, k, mod):
         calls.append(k)
-        return real(f, k, mod)
+        return real_powmod(f, k, mod)
+
+    def counting_norm(*args):
+        norms.append(args)
+        return real_norm(*args)
 
     monkeypatch.setattr(polyring, "powmod", counting_powmod)
+    monkeypatch.setattr(polyring, "power_character", counting_norm)
+    monkeypatch.setattr(symbols, "power_character", counting_norm)
     assert reciprocity_sweep(field_make(p, e), max_deg, n=n).passed
     assert calls == []
+    assert norms == []
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (13, 1), (257, 1), (3, 2), (3, 5)])
